@@ -34,7 +34,7 @@ print("  Kunneth invariants:", tw.kunneth_invariants(mc, md))
 
 # The boundary certificate.  Everything is recomputed from the sampled
 # polynomials: point counts by character sums, invariant dimensions from
-# the actual matrices (with the closed forms asserted as a cross-check),
+# the actual matrices (cross-checked against the closed forms),
 # and the inequality by squaring, never by floating square roots.
 t0 = time.time()
 cert = tw.hyperelliptic_product_certificate(67, 30, 30, 1, seed=1)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .gf import InvariantError
+
 RationalLike = Union[Fraction, int, str]
 
 INF = math.inf
@@ -129,7 +131,8 @@ def polygon_image(q: int, g: int) -> dict:
     out: dict = dict(corners)
     for name1, name2 in (("A1", "A2"), ("B1", "B2"), ("C1", "C2"), ("D1", "D2")):
         img = phi_g(q, g, corners[name1])
-        assert img == closed[name2], f"{name2} disagrees with its closed form"
+        if img != closed[name2]:
+            raise InvariantError(f"{name2} disagrees with its closed form")
         out[name2] = img
     return out
 

@@ -214,8 +214,7 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
                      grid: Optional[tuple[Sequence[int], Sequence[int]]] = None,
                      exact_budget: Optional[int] = None,
                      epsilon: Optional[Fraction] = None,
-                     xi: Optional[int] = None,
-                     workers: int = 1) -> BoundReport:
+                     xi: Optional[int] = None) -> BoundReport:
     """Assemble every applicable bound for the code on `surface` with divisor
     `g` and evaluation set selected by `tag`.
 
@@ -314,7 +313,7 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
     if exact_budget and surface.kind in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
         code = cd.build_code(surface, g, q, tag, grid)
         try:
-            d_exact = cd.exact_min_distance(code, exact_budget, workers)
+            d_exact = cd.exact_min_distance(code, exact_budget)
             report.exact = {"k": code.k, "d": d_exact}
         except cd.BudgetExceeded:
             report.exact = None

@@ -107,7 +107,7 @@ def cmd_code_distance(args) -> int:
         code = cd.load_code(args.infile)
     except OSError as exc:
         raise CliError(EXIT_IO, "io", str(exc))
-    d = cd.exact_min_distance(code, args.budget, args.threads)
+    d = cd.exact_min_distance(code, args.budget)
     payload = code.to_json_dict()
     payload["d"] = d
     return _emit(args, payload)
@@ -124,8 +124,8 @@ def cmd_bounds(args) -> int:
         gamma=args.gamma, tag=args.points, grid=grid,
         exact_budget=args.budget if args.exact else None,
         epsilon=Fraction(args.epsilon) if args.epsilon else None,
-        xi=args.xi, workers=args.threads)
-    if args.lift > 1:
+        xi=args.xi)
+    if args.lift != 1:
         report = bd.lifted_bound(report, args.lift)
     return _emit(args, report.to_json_dict())
 
@@ -141,7 +141,7 @@ def cmd_tower_check(args) -> int:
 def cmd_tower_search(args) -> int:
     certs = tw.search_parameters(args.q, _parse_range(args.g1),
                                  _parse_range(args.g2), _parse_range(args.rho),
-                                 args.seed, args.threads)
+                                 args.seed)
     return _emit(args, [c.to_json_dict() for c in certs])
 
 
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     cdist = code_sub.add_parser("distance")
     cdist.add_argument("--in", dest="infile", required=True)
     cdist.add_argument("--budget", type=int, default=cd.DEFAULT_DISTANCE_BUDGET)
-    cdist.add_argument("--threads", type=int, default=1)
     cdist.add_argument("--out", default=None)
     cdist.set_defaults(func=cmd_code_distance)
 
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Seshadri lower bound (rational) for Hansen S1")
     bounds.add_argument("--xi", type=int, default=None,
                         help="global-generation twist for Hansen S2")
-    bounds.add_argument("--threads", type=int, default=1)
     bounds.add_argument("--out", default=None)
     bounds.set_defaults(func=cmd_bounds)
 
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("g1", "g2", "rho"):
         ts.add_argument(f"--{name}", required=True, help="int or lo..hi")
     ts.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ts.add_argument("--threads", type=int, default=1)
     ts.add_argument("--out", default=None)
     ts.set_defaults(func=cmd_tower_search)
 

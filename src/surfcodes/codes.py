@@ -161,13 +161,6 @@ def _eval_monomial(field: gf.FieldSpec, exp: tuple[int, ...],
     return acc
 
 
-def _dehomogenized(kind: str, exp: tuple[int, ...]) -> tuple[int, int]:
-    # chart t1 = x1 = 1 on Hirzebruch (exponents al, be, ga, de -> t^al x^ga);
-    # chart s1 = t1 = 1 on the quadric (exponents i0, i1, j0, j1 -> s^i0 t^j0).
-    # Both layouts put the surviving exponents at slots 0 and 2.
-    return exp[0], exp[2]
-
-
 # ---------------------------------------------------------------------------
 # Linear codes
 # ---------------------------------------------------------------------------
@@ -202,24 +195,56 @@ class LinearCode:
         return "\n".join(",".join(str(x) for x in row) for row in self.generator) + "\n"
 
 
+def _require(d, key: str, kind: type):
+    """d[key], which must exist and have type kind; anything else is a
+    ValueError naming the key."""
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"code JSON: missing key {key!r}")
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"code JSON: key {key!r} must be of type {kind.__name__}")
+    return value
+
+
 def code_from_json_dict(d: dict) -> LinearCode:
-    field = gf.field_from_json(d["field"])
-    n, k = int(d["n"]), int(d["k"])
-    flat = [int(x) for x in d["generator"]]
+    """Parse a code JSON document, validating it on the way: required keys
+    and their types, the generator length, every entry in [0, q), and the
+    generator rows having rank exactly k.  Violations raise ValueError."""
+    fd = _require(d, "field", dict)
+    _require(fd, "p", int)
+    _require(fd, "m", int)
+    _require(fd, "modulus", list)
+    field = gf.field_from_json(fd)
+    n, k = _require(d, "n", int), _require(d, "k", int)
+    if n < 1 or k < 0:
+        raise ValueError(f"code JSON: need n >= 1 and k >= 0, got n = {n}, k = {k}")
+    flat = _require(d, "generator", list)
     if len(flat) != n * k:
         raise ValueError(f"generator has {len(flat)} entries, expected {n * k}")
+    for x in flat:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < field.q:
+            raise ValueError(f"code JSON: generator entry {x!r} is not an element "
+                             f"of F_{field.q}")
     rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(k))
-    surf = sf.surface_from_json(d["surface"]) if d.get("surface") else None
-    tagspec = d.get("point_tag", "all")
-    if isinstance(tagspec, dict):
-        tag = "grid"
-        grid = (tuple(int(x) for x in tagspec["grid"]["A"]),
-                tuple(int(x) for x in tagspec["grid"]["B"]))
-    else:
-        tag, grid = tagspec, None
+    rank = matrix_rank(field, rows)
+    if rank != k:
+        raise ValueError(f"code JSON: generator rows have rank {rank}, not k = {k}")
+    try:
+        surf = sf.surface_from_json(d["surface"]) if d.get("surface") else None
+        divisor = tuple(int(c) for c in d["divisor"]) if d.get("divisor") else None
+        section_count = int(d.get("section_count", k))
+        tag, grid = d.get("point_tag", "all"), None
+        if isinstance(tag, dict):
+            g = tag["grid"]
+            tag, grid = "grid", (tuple(int(x) for x in g["A"]),
+                                 tuple(int(x) for x in g["B"]))
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"code JSON: malformed metadata, "
+                         f"{type(exc).__name__}: {exc}") from exc
+    if tag != "all" and grid is None:
+        raise ValueError("code JSON: key 'point_tag' must be \"all\" or a grid")
     return LinearCode(field=field, n=n, k=k, generator=rows,
-                      section_count=int(d.get("section_count", k)), surface=surf,
-                      divisor=tuple(d["divisor"]) if d.get("divisor") else None,
+                      section_count=section_count, surface=surf, divisor=divisor,
                       tag=tag, grid=grid)
 
 
@@ -284,7 +309,10 @@ def build_code(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int,
     rows = []
     for exp in basis.exponents:
         if pts.tag == "grid":
-            ex, ey = _dehomogenized(surface.kind, exp)
+            # chart t1 = x1 = 1 on Hirzebruch (exponents al, be, ga, de -> t^al x^ga);
+            # chart s1 = t1 = 1 on the quadric (exponents i0, i1, j0, j1 -> s^i0 t^j0).
+            # Both layouts put the surviving exponents at slots 0 and 2.
+            ex, ey = exp[0], exp[2]
             rows.append([field.mul(field.pow(t, ex), field.pow(x, ey))
                          for (t, x) in pts.points])
         else:
@@ -333,15 +361,13 @@ def _min_weight_for_leading(field, gen_np, add_t, mul_t, lead: int) -> int:
 
 
 def exact_min_distance(code: LinearCode,
-                       budget: int = DEFAULT_DISTANCE_BUDGET,
-                       workers: int = 1) -> int:
+                       budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
     """Exact minimum Hamming weight over nonzero codewords.
 
     Enumerates projective message representatives (first nonzero message
     coordinate fixed to 1) since scaling a message scales the codeword and
-    preserves its weight.  The work splits into disjoint blocks by leading
-    index with a min-reduce, so results are schedule-independent for any
-    worker count.
+    preserves its weight.  The messages are searched in blocks by leading
+    index, stopping early once a codeword of weight <= 1 is found.
     """
     if code.k == 0:
         raise EmptySystem("zero code has no minimum distance")
@@ -352,16 +378,8 @@ def exact_min_distance(code: LinearCode,
             f"enumeration needs {total} messages, budget is {budget}")
     add_t, mul_t = code.field.numpy_tables()
     gen_np = np.array(code.generator, dtype=np.uint16)
-    leads = list(range(code.k))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(
-                lambda i: _min_weight_for_leading(code.field, gen_np, add_t, mul_t, i),
-                leads))
-        return min(results)
     best = code.n + 1
-    for i in leads:
+    for i in range(code.k):
         w = _min_weight_for_leading(code.field, gen_np, add_t, mul_t, i)
         if w < best:
             best = w

@@ -51,6 +51,11 @@ class ZeroPolynomial(ValueError):
     """Operation rejects the zero polynomial."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant or closed-form cross-check does not hold; this
+    signals a bug, not bad input."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -171,7 +176,7 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
             t //= p
         if _fp_is_irreducible(p, coeffs + [1]):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found; unreachable")
+    raise InvariantError("no irreducible polynomial found; unreachable")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +198,10 @@ class FieldSpec:
     def __init__(self, p: int, m: int):
         if m < 1:
             raise NotPrime(f"exponent m must be >= 1, got {m}")
+        # reject oversized input before the trial-division primality test
+        # (and before computing p ** m for a huge m); p >= 2, m > 16 gives q > 2^16
+        if p > MAX_FIELD_SIZE or (p >= 2 and m > 16):
+            raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_FIELD_SIZE}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p ** m
@@ -259,7 +268,8 @@ class FieldSpec:
                 if all(self._raw_pow(g, (q - 1) // r) != 1 for r in rs):
                     gen = g
                     break
-            assert gen, "no multiplicative generator found"
+            if not gen:
+                raise InvariantError("no multiplicative generator found")
         exp = [0] * (q - 1)
         log = [0] * q
         x = 1
@@ -267,7 +277,8 @@ class FieldSpec:
             exp[i] = x
             log[x] = i
             x = self._raw_mul(x, gen)
-        assert x == 1, "generator order mismatch"
+        if x != 1:
+            raise InvariantError("generator order mismatch")
         self._exp = tuple(exp)
         self._log = tuple(log)
 
@@ -335,13 +346,18 @@ class FieldSpec:
             import numpy as np
             if self.q > 4096:
                 raise FieldTooLarge(f"operation tables not built for q = {self.q} > 4096")
-            q = self.q
+            q, p = self.q, self.p
+            # log a + log b < 2 (q - 1) <= 8190 indexes a doubled exp table
+            exp2 = np.array(self._exp * 2, dtype=np.uint16)
+            log = np.array(self._log, dtype=np.uint16)
+            mul = exp2[log[:, None] + log[None, :]]
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            idx = np.arange(q, dtype=np.uint16)
             add = np.zeros((q, q), dtype=np.uint16)
-            mul = np.zeros((q, q), dtype=np.uint16)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
+            for w in self._pows:
+                digit = (idx // w) % p
+                add += (digit[:, None] + digit[None, :]) % p * w
             self._np_add, self._np_mul = add, mul
         return self._np_add, self._np_mul
 
@@ -374,6 +390,8 @@ def field_from_order(q: int) -> FieldSpec:
     """F_q from its order; q must be a prime power <= 2^16."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
+    if q > MAX_FIELD_SIZE:
+        raise FieldTooLarge(f"q = {q} exceeds {MAX_FIELD_SIZE}")
     for p in range(2, q + 1):
         if q % p == 0:
             m = 0
@@ -389,7 +407,7 @@ def field_from_order(q: int) -> FieldSpec:
 
 def field_from_json(d: dict) -> FieldSpec:
     spec = make_field(int(d["p"]), int(d["m"]))
-    if list(spec.modulus) != [int(c) for c in d["modulus"]]:
+    if list(spec.modulus) != list(d["modulus"]):
         raise ValueError(f"non-canonical modulus {d['modulus']} for F_{spec.q}; "
                          f"expected {list(spec.modulus)}")
     return spec
@@ -427,7 +445,8 @@ def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
         if acc == 0:
             beta = cand
             break
-    assert beta >= 0, "base modulus has no root in the extension"
+    if beta < 0:
+        raise InvariantError("base modulus has no root in the extension")
     powers = [1]
     for _ in range(base.m - 1):
         powers.append(ext.mul(powers[-1], beta))
@@ -670,7 +689,7 @@ def _squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
+def distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
     """f monic squarefree -> [(d, product of irreducible factors of degree d)]."""
     F = f.field
     out = []
@@ -733,7 +752,7 @@ def poly_factor(f: Polynomial, seed: int = FACTOR_SEED) -> list[tuple[Polynomial
     fm = f.monic()
     out: list[tuple[Polynomial, int]] = []
     for g, mult in _squarefree_decomposition(fm):
-        for d, h in _distinct_degree(g):
+        for d, h in distinct_degree(g):
             for irr in _equal_degree(h, d, rng):
                 out.append((irr, mult))
     out.sort(key=lambda t: t[0].sort_key())

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .gf import InvariantError
+
 P2 = "P2"
 P1XP1 = "P1xP1"
 HIRZEBRUCH = "Hirzebruch"
@@ -234,7 +236,8 @@ def riemann_roch_lower(surface: SurfaceModel, g: DivisorClass,
         raise PreconditionFailed(
             f"G.H = {intersect(g, h)} must exceed K.H = {intersect(k, h)}")
     prod = intersect(g, g - k)
-    assert prod % 2 == 0, "G.(G-K) is even on a smooth surface"
+    if prod % 2 != 0:
+        raise InvariantError("G.(G-K) must be even on a smooth surface")
     return prod // 2 + surface.chi_o
 
 

@@ -190,14 +190,12 @@ def _module_from_cycle_type(cycles: Sequence[int]) -> list[int]:
 
 
 def two_torsion_frobenius(curve: HyperellipticCurve) -> FrobeniusModule:
-    """Factor f; the Frobenius permutes the 2g + 2 roots with cycle type
-    equal to the factor-degree multiset, and the induced action on the root
+    """The Frobenius permutes the 2g + 2 roots of f with cycle type equal to
+    the factor-degree multiset, read off the distinct-degree split of f (f is
+    squarefree by construction of the curve); the induced action on the root
     module is returned in the fixed difference basis."""
-    f = curve.f
-    factors = gf.poly_factor(f)
-    if any(mult > 1 for _, mult in factors):
-        raise NotSquarefree("f has a repeated factor")
-    degrees = [p.degree for p, _ in factors]       # canonical factor order
+    degrees = [d for d, h in gf.distinct_degree(curve.f.monic())
+               for _ in range(h.degree // d)]      # ascending: canonical factor order
     rows = _module_from_cycle_type(degrees)
     return FrobeniusModule(g=curve.genus, rows=tuple(rows),
                            provenance=tuple(sorted(degrees)))
@@ -232,7 +230,9 @@ def eigen_multiplicities(module: FrobeniusModule
     for p, _ in gf.poly_factor(cp):
         pm = f2.poly_eval_rows(p.coeffs, list(module.rows), n)
         kdim = f2.kernel_dim(pm, n)
-        assert kdim % p.degree == 0
+        if kdim % p.degree != 0:
+            raise gf.InvariantError(
+                f"kernel dimension {kdim} is not a multiple of degree {p.degree}")
         out.append((p, kdim // p.degree))
     return out
 
@@ -379,14 +379,15 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
     2 g1 + 2 distinct linear factors) and D quadratic (g a product of g2 + 1
     distinct irreducible quadratics), both monic.
 
-    The invariant dimensions are computed from the actual Frobenius modules;
-    for even g2 the closed forms h1G = 2 g1 + g2 and h2G = 2 g1 g2 + 2 are
-    asserted as a cross-check.  For odd g2 those closed forms are off by one
-    invariant: the subsets picking one root from each quadratic pair have
-    even size exactly when g2 is odd, and such a subset maps to its
-    complement, hence is Frobenius-fixed in the quotient module.  The module
-    values (h1G = 2 g1 + g2 + 1, h2G = 2 g1 (g2 + 1) + 2) are the correct
-    ones and are what the certificate uses either way.
+    The invariant dimensions are computed from the actual Frobenius modules
+    and cross-checked against closed forms, raising InvariantError on a
+    mismatch.  For even g2 the closed forms are h1G = 2 g1 + g2 and
+    h2G = 2 g1 g2 + 2.  For odd g2 those are off by one invariant: the
+    subsets picking one root from each quadratic pair have even size exactly
+    when g2 is odd, and such a subset maps to its complement, hence is
+    Frobenius-fixed in the quotient module.  The parity-corrected values
+    (h1G = 2 g1 + g2 + 1, h2G = 2 g1 (g2 + 1) + 2) are the ones checked then;
+    the certificate always uses the module values.
 
     The GS inequality is evaluated at the worst case r_T = 3 rho + 1.
     Hypothesis failures set condition flags rather than raising.
@@ -404,12 +405,11 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
     md = two_torsion_frobenius(curve_d)
     kd = kunneth_invariants(mc, md)
     h1g, h2g = kd["h1G"], kd["h2G"]
-    if g2 % 2 == 0:
-        assert h1g == 2 * g1 + g2, "closed-form cross-check failed for h1G"
-        assert h2g == 2 * g1 * g2 + 2, "closed-form cross-check failed for h2G"
-    else:
-        assert h1g == 2 * g1 + g2 + 1, "parity-corrected cross-check failed for h1G"
-        assert h2g == 2 * g1 * (g2 + 1) + 2, "parity-corrected cross-check failed for h2G"
+    odd = g2 % 2
+    if h1g != 2 * g1 + g2 + odd:
+        raise gf.InvariantError(f"h1G = {h1g} fails its closed-form cross-check")
+    if h2g != 2 * g1 * (g2 + odd) + 2:
+        raise gf.InvariantError(f"h2G = {h2g} fails its closed-form cross-check")
     rt = r_t_upper(rho)
     t_size = 4 * rho
     s = h1g - rt - 1
@@ -430,11 +430,11 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
 
 
 def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
-                      rho_range: Sequence[int], seed: int = 1,
-                      workers: int = 1) -> list[TowerCertificate]:
+                      rho_range: Sequence[int], seed: int = 1) -> list[TowerCertificate]:
     """All passing certificates over the given ranges, in (g1, g2, rho)
-    order.  Candidates violating a structural sampling precondition are
-    skipped; the total candidate count is budget-guarded."""
+    order.  Candidates the branch sampling cannot realize (too few linear or
+    irreducible quadratic factors, genus < 2, rho < 1) are skipped; the total
+    candidate count is budget-guarded."""
     if gf.field_from_order(q).q % 2 == 0:
         raise gf.EvenCharacteristic("tower search needs odd q")
     cands = sorted((a, b, r) for a in g1_range for b in g2_range for r in rho_range)
@@ -442,17 +442,10 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
         raise BudgetExceeded(
             f"{len(cands)} candidates exceed {SEARCH_CANDIDATE_BUDGET}")
 
-    def attempt(tup):
-        a, b, r = tup
-        try:
-            return hyperelliptic_product_certificate(q, a, b, r, seed)
-        except (NotEnoughFactors, ValueError):
-            return None
+    def feasible(a, b, r):
+        return (2 * a + 2 <= q and b + 1 <= (q * q - q) // 2
+                and a >= 2 and b >= 2 and r >= 1)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            certs = list(ex.map(attempt, cands))
-    else:
-        certs = [attempt(t) for t in cands]
-    return [c for c in certs if c is not None and c.gs_pass]
+    certs = [hyperelliptic_product_certificate(q, a, b, r, seed)
+             for a, b, r in cands if feasible(a, b, r)]
+    return [c for c in certs if c.gs_pass]

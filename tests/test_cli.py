@@ -1,6 +1,17 @@
 import json
 
+import pytest
+
 from surfcodes import cli
+
+_F3 = {"p": 3, "m": 1, "modulus": [0]}
+MALFORMED_CODES = {
+    "negative_entry": {"field": _F3, "n": 4, "k": 1, "generator": [1, -1, 1, 1]},
+    "entry_out_of_field": {"field": _F3, "n": 4, "k": 1, "generator": [1, 9, 1, 1]},
+    "missing_n": {"field": _F3, "k": 1, "generator": [1, 1, 1, 1]},
+    "dependent_rows": {"field": _F3, "n": 4, "k": 2,
+                       "generator": [1, 2, 0, 1, 1, 2, 0, 1]},
+}
 
 
 def run(capsys, *argv):
@@ -72,6 +83,20 @@ class TestCodeCommands:
         _, out1 = run(capsys, *argv)
         _, out2 = run(capsys, *argv)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_CODES, "lift_0"])
+def test_malformed_input_exit_2(capsys, tmp_path, case):
+    if case == "lift_0":
+        argv = ["bounds", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1",
+                "--lift", "0"]
+    else:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(MALFORMED_CODES[case]))
+        argv = ["code", "distance", "--in", str(path)]
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"]["kind"] == "precondition"
 
 
 class TestBoundsCommand:

@@ -124,6 +124,32 @@ class TestBuildCode:
         assert (clone.n, clone.k) == (code.n, code.k)
         assert clone.surface == code.surface
 
+    @pytest.mark.parametrize("key, bad, message", [
+        ("n", None, "missing key 'n'"),
+        ("k", "2", "key 'k' must be of type int"),
+        ("generator", {}, "key 'generator' must be of type list"),
+        ("field", {"p": 3, "m": 1}, "missing key 'modulus'"),
+        ("surface", {"params": []}, "KeyError: 'kind'"),
+        ("point_tag", 5, "key 'point_tag'"),
+    ])
+    def test_json_key_errors_name_the_key(self, key, bad, message):
+        s = sf.quadric_p1xp1()
+        d = build_code(s, s.divisor(1, 1), 3).to_json_dict()
+        if bad is None:
+            del d[key]
+        else:
+            d[key] = bad
+        with pytest.raises(ValueError, match=message):
+            code_from_json_dict(d)
+
+    def test_json_rejects_rank_deficient_generator(self):
+        s = sf.quadric_p1xp1()
+        d = build_code(s, s.divisor(1, 1), 3).to_json_dict()
+        n = d["n"]
+        d["generator"][n:2 * n] = d["generator"][:n]
+        with pytest.raises(ValueError, match="rank 3, not k = 4"):
+            code_from_json_dict(d)
+
     def test_deterministic(self):
         s = sf.hirzebruch(2)
         a = build_code(s, s.divisor(3, 1), 3)
@@ -154,12 +180,6 @@ class TestExactMinDistance:
         assert enumeration_size(3, code.k) == (3 ** 9 - 1) // 2
         with pytest.raises(BudgetExceeded):
             exact_min_distance(code, budget=100)
-
-    def test_workers_agree(self):
-        s = sf.quadric_p1xp1()
-        code = build_code(s, s.divisor(1, 2), 3)
-        assert exact_min_distance(code, workers=1) == \
-            exact_min_distance(code, workers=3)
 
     def test_column_scaling_and_permutation_invariance(self):
         s = sf.hirzebruch(1)

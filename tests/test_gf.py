@@ -73,6 +73,14 @@ class TestMakeField:
             make_field(2, 17)
         assert make_field(2, 16).q == 65536
 
+    def test_too_large_rejected_before_primality(self):
+        # trial division on these inputs would not finish
+        for p, m in ((10 ** 18 + 3, 1), (3, 10 ** 9)):
+            with pytest.raises(FieldTooLarge):
+                make_field(p, m)
+        with pytest.raises(FieldTooLarge):
+            gf.field_from_order(10 ** 18 + 3)
+
     def test_field_from_order(self):
         assert gf.field_from_order(9) is make_field(3, 2)
         with pytest.raises(NotPrime):
@@ -124,6 +132,19 @@ class TestArithmetic:
         for a in range(F.q):
             for b in range(F.q):
                 assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 64, 81, 729])
+    def test_numpy_tables_match_scalar_ops(self, q):
+        F = gf.field_from_order(q)
+        add, mul = F.numpy_tables()
+        if q <= 81:
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            rng = random.Random(q)
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(10_000)]
+        for a, b in pairs:
+            assert add[a, b] == F.add(a, b)
+            assert mul[a, b] == F.mul(a, b)
 
     def test_division(self):
         F = make_field(7, 1)

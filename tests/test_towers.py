@@ -168,6 +168,19 @@ class TestFrobeniusModules:
         assert m.provenance == (6,)
         assert list(m.rows) == list(module_from_cycle_type([6]).rows)
 
+    @pytest.mark.parametrize("q", [7, 9, 11])
+    def test_cycle_type_matches_full_factorization(self, q):
+        # the distinct-degree split must give the factor-degree multiset of
+        # the full factorization, in the same (ascending) order
+        field = gf.field_from_order(q)
+        rng = random.Random(q)
+        for _ in range(8):
+            f = squarefree_poly(field, rng.choice((6, 8, 10, 12)), rng)
+            degrees = [p.degree for p, _ in gf.poly_factor(f)]
+            m = two_torsion_frobenius(HyperellipticCurve(field, f))
+            assert m.provenance == tuple(degrees)
+            assert m.rows == module_from_cycle_type(degrees).rows
+
 
 class TestEigenData:
     def test_identity(self):
@@ -360,6 +373,32 @@ class TestCertificates:
 
     def test_search_skips_infeasible(self):
         assert search_parameters(5, range(2, 33), range(2, 4), range(1, 2)) == []
+        # g1 = 33 needs 68 linear factors over F_67; genus < 2 and rho < 1
+        assert search_parameters(67, range(33, 34), range(29, 31), range(1, 3)) == []
+        assert search_parameters(11, range(-1, 2), range(-1, 2), range(-1, 1)) == []
+
+    def test_search_propagates_certificate_errors(self, monkeypatch):
+        real = tw.hyperelliptic_product_certificate
+
+        def certificate(q, g1, g2, rho, seed=1):
+            if (g1, g2) == (30, 30):
+                raise NotSquarefree("f has a repeated root")
+            return real(q, g1, g2, rho, seed)
+
+        monkeypatch.setattr(tw, "hyperelliptic_product_certificate", certificate)
+        with pytest.raises(NotSquarefree):
+            search_parameters(67, range(29, 31), range(30, 31), range(1, 2))
+
+    def test_closed_form_mismatch_raises(self, monkeypatch):
+        real = tw.kunneth_invariants
+
+        def off_by_one(mc, md):
+            kd = real(mc, md)
+            return {**kd, "h1G": kd["h1G"] + 1}
+
+        monkeypatch.setattr(tw, "kunneth_invariants", off_by_one)
+        with pytest.raises(gf.InvariantError, match="h1G"):
+            hyperelliptic_product_certificate(11, 2, 2, 1, seed=1)
 
     def test_search_budget(self):
         from surfcodes.codes import BudgetExceeded
