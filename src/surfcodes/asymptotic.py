@@ -21,11 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .codes import BudgetExceeded
 from .gf import InvariantError
 
 RationalLike = Union[Fraction, int, str]
 
 INF = math.inf
+# each diagram sample holds about 1.2 KiB until the CSV is written
+MAX_DIAGRAM_SAMPLES = 250_000
 
 
 class GOutOfRange(ValueError):
@@ -174,9 +177,13 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
     """CSV sampling of the rectangle [0, 2/(g(q+1))] x [0, 1/(g(q+1))] on a
     grid_n x grid_n lattice, followed by the four reference-polygon corner
     rows (exact).  Rationals are serialized as num/den strings, flags as
-    true/false.  Optionally renders an SVG of the image domain."""
+    true/false.  Optionally renders an SVG of the image domain.  More than
+    MAX_DIAGRAM_SAMPLES grid samples raise BudgetExceeded before any sample
+    is built or any file written."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    if grid_n * grid_n > MAX_DIAGRAM_SAMPLES:
+        raise BudgetExceeded(f"{grid_n}^2 diagram samples exceed {MAX_DIAGRAM_SAMPLES}")
     kmax = Fraction(2, g * (q + 1))
     cmax = Fraction(1, g * (q + 1))
     rows = []

@@ -16,7 +16,7 @@ parameter; canonicalization just makes outputs bit-exact.
 
 Grid evaluation sets live in the affine chart t1 = x1 = 1 (s0-coordinate
 chart for each P^1 factor of the quadric) and are stored as coordinate pairs;
-sections are evaluated there in dehomogenized form.
+a pair (t, x) is evaluated as the point (t, 1, x, 1) like any other point.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import gf
 from . import surfaces as sf
 
 DEFAULT_DISTANCE_BUDGET = 10_000_000
+MAX_POINTS = 10 ** 6
 _BLOCK = 1 << 14
 
 
@@ -70,35 +71,43 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
     """Deterministically ordered canonical point list.
 
     tag="grid" takes grid=(A, B) with A, B subsets of F_q element indices and
-    is supported on the quadric and the Hirzebruch surfaces only.
+    is supported on the quadric and the Hirzebruch surfaces only.  The point
+    count is checked against MAX_POINTS before the field or any point is
+    built; a larger count raises BudgetExceeded.
     """
-    field = gf.field_from_order(q)
     if tag == "all":
-        if surface.kind == sf.P2:
-            pts = [(1, y, z) for y in field.elements() for z in field.elements()]
-            pts += [(0, 1, z) for z in field.elements()]
-            pts += [(0, 0, 1)]
-        elif surface.kind in (sf.P1XP1, sf.HIRZEBRUCH):
-            reps = _p1_reps(field)
-            pts = [a + b for a in reps for b in reps]
-        else:
+        if surface.kind not in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
             raise UnsupportedSubset(
                 f"{surface.kind} has no point enumeration (bounds only)")
-        pts.sort()
-        return PointList(surface.kind, q, "all", tuple(pts))
-    if tag == "grid":
+        n = sf.point_count(surface, q)
+    elif tag == "grid":
         if surface.kind not in (sf.P1XP1, sf.HIRZEBRUCH):
             raise UnsupportedSubset(f"grid points are not defined on {surface.kind}")
         if grid is None:
-            grid = (tuple(field.elements()), tuple(field.elements()))
+            grid = (range(q), range(q))
         a, b = (tuple(sorted(set(int(x) for x in grid[0]))),
                 tuple(sorted(set(int(x) for x in grid[1]))))
+        n = len(a) * len(b)
+    else:
+        raise UnsupportedSubset(f"unknown point tag {tag!r}")
+    if n > MAX_POINTS:
+        raise BudgetExceeded(f"{n} evaluation points exceed {MAX_POINTS}")
+    field = gf.field_from_order(q)
+    if tag == "grid":
         for c in a + b:
             if not 0 <= c < q:
                 raise UnsupportedSubset(f"grid entry {c} is not an element of F_{q}")
         pts = [(x, y) for x in a for y in b]
         return PointList(surface.kind, q, "grid", tuple(pts), (a, b))
-    raise UnsupportedSubset(f"unknown point tag {tag!r}")
+    if surface.kind == sf.P2:
+        pts = [(1, y, z) for y in field.elements() for z in field.elements()]
+        pts += [(0, 1, z) for z in field.elements()]
+        pts += [(0, 0, 1)]
+    else:
+        reps = _p1_reps(field)
+        pts = [a + b for a in reps for b in reps]
+    pts.sort()
+    return PointList(surface.kind, q, "all", tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +257,6 @@ def code_from_json_dict(d: dict) -> LinearCode:
                       tag=tag, grid=grid)
 
 
-def save_code(code: LinearCode, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(code.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 def load_code(path: str) -> LinearCode:
     with open(path, "r", encoding="utf-8") as fh:
         return code_from_json_dict(json.load(fh))
@@ -306,17 +309,12 @@ def build_code(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int,
     if not pts.points:
         raise EmptySystem("empty evaluation set")
     field = gf.field_from_order(q)
-    rows = []
-    for exp in basis.exponents:
-        if pts.tag == "grid":
-            # chart t1 = x1 = 1 on Hirzebruch (exponents al, be, ga, de -> t^al x^ga);
-            # chart s1 = t1 = 1 on the quadric (exponents i0, i1, j0, j1 -> s^i0 t^j0).
-            # Both layouts put the surviving exponents at slots 0 and 2.
-            ex, ey = exp[0], exp[2]
-            rows.append([field.mul(field.pow(t, ex), field.pow(x, ey))
-                         for (t, x) in pts.points])
-        else:
-            rows.append([_eval_monomial(field, exp, p) for p in pts.points])
+    # A grid pair (t, x) is the chart point (t, 1, x, 1): chart t1 = x1 = 1 on
+    # Hirzebruch, s1 = t1 = 1 on the quadric.
+    points = ([(t, 1, x, 1) for t, x in pts.points] if pts.tag == "grid"
+              else pts.points)
+    rows = [[_eval_monomial(field, exp, p) for p in points]
+            for exp in basis.exponents]
     rank, keep = _row_reduce(field, rows)
     generator = tuple(tuple(rows[i]) for i in keep)
     return LinearCode(field=field, n=len(pts.points), k=rank, generator=generator,

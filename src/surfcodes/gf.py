@@ -10,7 +10,9 @@ polynomials over F_p, we take the one whose coefficient tuple
 (c_0, ..., c_{m-1}), read as the base-p integer sum(c_i * p^i), is smallest.
 This makes every field, and hence every downstream computation, reproducible
 bit-for-bit without an external polynomial table.  For prime fields the rule
-yields the modulus x.
+yields the modulus x.  The modulus search, the table bootstrap and the subfield
+embeddings all use the one Polynomial arithmetic of this module over F_p:
+candidates are tested for irreducibility by distinct-degree factorization.
 
 Multiplication and division go through exponential/logarithm tables built once
 per field from a fixed multiplicative generator (the smallest index of maximal
@@ -56,17 +58,6 @@ class InvariantError(RuntimeError):
     signals a bug, not bad input."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of n, ascending."""
     out = []
@@ -80,103 +71,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomial helpers over the prime field F_p (coefficient lists of
-# plain ints, ascending degree).  Only used to bootstrap the canonical
-# modulus before any FieldSpec exists.
-# ---------------------------------------------------------------------------
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(p: int, a: Sequence[int], f: Sequence[int]) -> list[int]:
-    # f monic
-    r = list(a)
-    df = len(f) - 1
-    while len(r) - 1 >= df and r:
-        lead = r[-1]
-        shift = len(r) - 1 - df
-        if lead:
-            for i in range(df + 1):
-                r[shift + i] = (r[shift + i] - lead * f[i]) % p
-        r.pop()
-        _fp_trim(r)
-    return r
-
-
-def _fp_powmod(p: int, a: Sequence[int], e: int, f: Sequence[int]) -> list[int]:
-    result = [1]
-    base = _fp_mod(p, a, f)
-    while e:
-        if e & 1:
-            result = _fp_mod(p, _fp_mul(p, result, base), f)
-        base = _fp_mod(p, _fp_mul(p, base, base), f)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_mod(p, a, _fp_monic(p, b))
-    return _fp_monic(p, a)
-
-
-def _fp_monic(p: int, a: Sequence[int]) -> list[int]:
-    a = _fp_trim(list(a))
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [(c * inv) % p for c in a]
-
-
-def _fp_is_irreducible(p: int, f: Sequence[int]) -> bool:
-    """Degree-m monic f is irreducible over F_p iff it shares no factor with
-    x^(p^d) - x for any d <= m/2 (that product covers all irreducibles of
-    degree <= m/2, and a reducible degree-m polynomial has such a factor)."""
-    m = len(f) - 1
-    h = [0, 1]  # x
-    for _ in range(m // 2):
-        h = _fp_powmod(p, h, p, f)  # x^(p^d) after d Frobenius steps
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(p, f, _fp_trim(diff))
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
-def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m in base-p coefficient encoding."""
-    if m == 1:
-        return (0,)
-    for enc in range(p ** m):
-        coeffs = []
-        t = enc
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        if _fp_is_irreducible(p, coeffs + [1]):
-            return tuple(coeffs)
-    raise InvariantError("no irreducible polynomial found; unreachable")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +96,7 @@ class FieldSpec:
         # (and before computing p ** m for a huge m); p >= 2, m > 16 gives q > 2^16
         if p > MAX_FIELD_SIZE or (p >= 2 and m > 16):
             raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_FIELD_SIZE}")
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise NotPrime(f"{p} is not prime")
         q = p ** m
         if q > MAX_FIELD_SIZE:
@@ -233,20 +127,9 @@ class FieldSpec:
             return 0
         if self.m == 1:
             return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo x^m - (modulus tail): x^m == -sum(c_i x^i)
-        for k in range(len(prod) - 1, self.m - 1, -1):
-            lead = prod[k]
-            if lead:
-                prod[k] = 0
-                for i, c in enumerate(self.modulus):
-                    prod[k - self.m + i] = (prod[k - self.m + i] - lead * c) % self.p
-        return self._from_digits(prod[: self.m])
+        fp = make_field(self.p)
+        prod = fp.poly(self._digits(a)) * fp.poly(self._digits(b))
+        return self._from_digits((prod % fp.poly(self.modulus + (1,))).coeffs)
 
     def _raw_pow(self, a: int, e: int) -> int:
         result, base = 1, a
@@ -392,17 +275,13 @@ def field_from_order(q: int) -> FieldSpec:
         raise NotPrime(f"{q} is not a prime power")
     if q > MAX_FIELD_SIZE:
         raise FieldTooLarge(f"q = {q} exceeds {MAX_FIELD_SIZE}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise NotPrime(f"{q} is not a prime power")
-            return make_field(p, m)
-    raise NotPrime(f"{q} is not a prime power")
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    p, m = factors[0], 1
+    while p ** m < q:
+        m += 1
+    return make_field(p, m)
 
 
 def field_from_json(d: dict) -> FieldSpec:
@@ -436,26 +315,11 @@ def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
     if base.m == 1:
         return ext, [a % base.p for a in range(base.q)]
     # smallest root of the base modulus (coeffs are prime-subfield indices)
-    mod_coeffs = list(base.modulus) + [1]
-    beta = -1
-    for cand in range(ext.q):
-        acc = 0
-        for c in reversed(mod_coeffs):
-            acc = ext.add(ext.mul(acc, cand), c % base.p)
-        if acc == 0:
-            beta = cand
-            break
-    if beta < 0:
+    mod = ext.poly(base.modulus + (1,))
+    beta = next((c for c in ext.elements() if poly_eval(mod, c) == 0), None)
+    if beta is None:
         raise InvariantError("base modulus has no root in the extension")
-    powers = [1]
-    for _ in range(base.m - 1):
-        powers.append(ext.mul(powers[-1], beta))
-    emb = []
-    for a in range(base.q):
-        img = 0
-        for d, bp in zip(base._digits(a), powers):
-            img = ext.add(img, ext.mul(d % base.p, bp))
-        emb.append(img)
+    emb = [poly_eval(ext.poly(base._digits(a)), beta) for a in base.elements()]
     return ext, emb
 
 
@@ -690,7 +554,11 @@ def _squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 def distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
-    """f monic squarefree -> [(d, product of irreducible factors of degree d)]."""
+    """f monic squarefree -> [(d, product of irreducible factors of degree d)].
+
+    The first entry also decides irreducibility of any monic f of degree
+    m >= 2, squarefree or not: f is irreducible iff that entry has d = m
+    (see _canonical_modulus)."""
     F = f.field
     out = []
     h = Polynomial.x(F) % f
@@ -708,6 +576,27 @@ def distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
             f = f // g
             h = h % f
     return out
+
+
+def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
+    """Smallest monic irreducible of degree m in base-p coefficient encoding.
+
+    A monic f of degree m is irreducible iff the first distinct-degree entry
+    of f has degree m.  This holds for non-squarefree f too: a reducible f of
+    degree m has an irreducible factor of degree <= m/2, so its first entry
+    has d <= m/2."""
+    if m == 1:
+        return (0,)
+    fp = make_field(p)
+    for enc in range(p ** m):
+        coeffs = []
+        t = enc
+        for _ in range(m):
+            coeffs.append(t % p)
+            t //= p
+        if distinct_degree(fp.poly(coeffs + [1]))[0][0] == m:
+            return tuple(coeffs)
+    raise InvariantError("no irreducible polynomial found; unreachable")
 
 
 def _equal_degree(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:

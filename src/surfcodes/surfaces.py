@@ -112,9 +112,6 @@ class DivisorClass:
 
     __mul__ = __rmul__
 
-    def dot(self, other: "DivisorClass") -> int:
-        return intersect(self, other)
-
     def __repr__(self) -> str:
         return f"DivisorClass{self.coords}"
 

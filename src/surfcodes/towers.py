@@ -152,9 +152,6 @@ class FrobeniusModule:
     def dim(self) -> int:
         return 2 * self.g
 
-    def matrix_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.dim)] for r in self.rows]
-
 
 def _module_from_cycle_type(cycles: Sequence[int]) -> list[int]:
     """Matrix of the permutation with the given cycle type acting on
@@ -437,10 +434,10 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
     candidate count is budget-guarded."""
     if gf.field_from_order(q).q % 2 == 0:
         raise gf.EvenCharacteristic("tower search needs odd q")
+    total = len(g1_range) * len(g2_range) * len(rho_range)
+    if total > SEARCH_CANDIDATE_BUDGET:
+        raise BudgetExceeded(f"{total} candidates exceed {SEARCH_CANDIDATE_BUDGET}")
     cands = sorted((a, b, r) for a in g1_range for b in g2_range for r in rho_range)
-    if len(cands) > SEARCH_CANDIDATE_BUDGET:
-        raise BudgetExceeded(
-            f"{len(cands)} candidates exceed {SEARCH_CANDIDATE_BUDGET}")
 
     def feasible(a, b, r):
         return (2 * a + 2 <= q and b + 1 <= (q * q - q) // 2

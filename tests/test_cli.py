@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -97,6 +98,23 @@ def test_malformed_input_exit_2(capsys, tmp_path, case):
     code, payload = run_json(capsys, *argv)
     assert code == 2
     assert payload["error"]["kind"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "build", "--surface", "p1xp1", "--q", "65536", "--divisor", "1,1"],
+    ["bounds", "--surface", "p1xp1", "--q", "65536", "--divisor", "1,1",
+     "--points", "grid"],
+    ["asym", "diagram", "--q", "2", "--g", "2", "--grid", "3000", "--out", "d.csv"],
+], ids=["code_build", "bounds_grid", "asym_diagram"])
+def test_size_budget_exit_3(capsys, tmp_path, monkeypatch, argv):
+    # each input would need gigabytes; the guard must refuse it up front
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert payload["error"]["kind"] == "budget"
+    assert not any(tmp_path.iterdir())
 
 
 class TestBoundsCommand:

@@ -59,10 +59,10 @@ class TestMakeField:
         assert enumerate_canonical_modulus(3, 2) == (1, 0)
         assert make_field(3, 2).modulus == (1, 0)
 
-    def test_f4_f16_canonical_moduli_match_oracle(self):
-        assert make_field(2, 2).modulus == enumerate_canonical_modulus(2, 2)
-        assert make_field(2, 4).modulus == enumerate_canonical_modulus(2, 4)
-        assert make_field(5, 2).modulus == enumerate_canonical_modulus(5, 2)
+    # (2, 8) and (3, 6) are the F_256 and F_729 of the benchmark
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS + [(2, 8), (3, 6)])
+    def test_canonical_modulus_matches_oracle(self, p, m):
+        assert make_field(p, m).modulus == enumerate_canonical_modulus(p, m)
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):

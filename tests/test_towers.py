@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -402,5 +403,12 @@ class TestCertificates:
 
     def test_search_budget(self):
         from surfcodes.codes import BudgetExceeded
-        with pytest.raises(BudgetExceeded):
-            search_parameters(67, range(2000), range(2000), range(1, 2))
+        # the budget is checked before any candidate tuple is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                search_parameters(67, range(2000), range(2000), range(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
