@@ -311,8 +311,8 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
                 report.k_lower = sf.riemann_roch_lower(surface, g, h)
     # exact parameters
     if exact_budget and surface.kind in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
-        code = cd.build_code(surface, g, q, tag, grid)
         try:
+            code = cd.build_code(surface, g, q, tag, grid)
             d_exact = cd.exact_min_distance(code, exact_budget)
             report.exact = {"k": code.k, "d": d_exact}
         except cd.BudgetExceeded:

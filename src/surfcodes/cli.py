@@ -296,7 +296,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         sys.stdout.write(_error_json(exc.kind, str(exc)))
         return exc.code
-    except (cd.BudgetExceeded, tw.TooLarge) as exc:
+    except cd.BudgetExceeded as exc:
         sys.stdout.write(_error_json("budget", str(exc)))
         return EXIT_BUDGET
     except OSError as exc:

@@ -1,17 +1,14 @@
 """Dense linear algebra over GF(2) on bitmask rows.
 
 A matrix is a sequence of Python ints: row i has bit j set iff entry (i, j)
-is 1.  Small matrices (Frobenius modules, polynomial evaluation) stay in this
-form; rank computations pack the rows into numpy uint64 words so that the
-elimination inner loop runs vectorized, which matters for Kronecker products
-up to 4096 x 4096.
+is 1.  Every matrix here is small (a Frobenius module or a polynomial in one,
+at most 2g x 2g), so all operations, rank included, work on the ints
+directly.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 
 def identity_rows(n: int) -> list[int]:
@@ -40,17 +37,6 @@ def matmul_rows(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def matpow_rows(a: Sequence[int], e: int, n: int) -> list[int]:
-    result = identity_rows(n)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = matmul_rows(result, base)
-        base = matmul_rows(base, base)
-        e >>= 1
-    return result
-
-
 def transpose_rows(rows: Sequence[int], ncols: int) -> list[int]:
     out = [0] * ncols
     for i, row in enumerate(rows):
@@ -59,21 +45,6 @@ def transpose_rows(rows: Sequence[int], ncols: int) -> list[int]:
             j = (r & -r).bit_length() - 1
             out[j] |= 1 << i
             r &= r - 1
-    return out
-
-
-def kron_rows(a: Sequence[int], na: int, b: Sequence[int], nb: int) -> list[int]:
-    """Kronecker product with index convention (i, j) -> i*nb + j on both axes."""
-    out = []
-    for ra in a:
-        for rb in b:
-            acc = 0
-            r = ra
-            while r:
-                k = (r & -r).bit_length() - 1
-                acc |= rb << (k * nb)
-                r &= r - 1
-            out.append(acc)
     return out
 
 
@@ -89,38 +60,19 @@ def poly_eval_rows(coeffs01: Sequence[int], m: Sequence[int], n: int) -> list[in
     return acc
 
 
-def _pack(rows: Sequence[int], ncols: int) -> np.ndarray:
-    words = max(1, (ncols + 63) // 64)
-    nbytes = words * 8
-    buf = bytearray(len(rows) * nbytes)
-    for i, row in enumerate(rows):
-        buf[i * nbytes:(i + 1) * nbytes] = row.to_bytes(nbytes, "little")
-    return np.frombuffer(bytes(buf), dtype=np.uint64).reshape(len(rows), words).copy()
-
-
 def rank(rows: Sequence[int], ncols: int) -> int:
-    """Rank over GF(2) by packed forward elimination."""
-    nrows = len(rows)
-    if nrows == 0 or ncols == 0:
-        return 0
-    m = _pack(rows, ncols)
-    r = 0
-    for c in range(ncols):
-        w, b = divmod(c, 64)
-        col = (m[r:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        below = r + 1 + np.nonzero((m[r + 1:, w] >> np.uint64(b)) & np.uint64(1))[0]
-        if below.size:
-            m[below] ^= m[r]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over GF(2) of rows below 2**ncols, by elimination on leading
+    bits: each row is reduced by the pivot owning its leading bit until it
+    vanishes or leads with a new bit, which makes it a pivot."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
 
 
 def kernel_dim(rows: Sequence[int], ncols: int) -> int:

@@ -263,10 +263,13 @@ class FieldSpec:
         return Polynomial(self, coeffs)
 
 
-@lru_cache(maxsize=None)
+_cached_field = lru_cache(maxsize=None)(FieldSpec)
+
+
 def make_field(p: int, m: int = 1) -> FieldSpec:
-    """The canonical F_{p^m}; deterministic across runs and platforms."""
-    return FieldSpec(p, m)
+    """The canonical F_{p^m}; deterministic across runs and platforms.  The
+    cache is keyed on (p, m) however m is passed, so F_p is built once."""
+    return _cached_field(p, m)
 
 
 def field_from_order(q: int) -> FieldSpec:

@@ -41,10 +41,6 @@ class NotEnoughFactors(ValueError):
     pass
 
 
-class TooLarge(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Hyperelliptic curves and point counts
 # ---------------------------------------------------------------------------
@@ -215,64 +211,44 @@ def fixed_space_dim(module: FrobeniusModule) -> int:
     return f2.kernel_dim(rows, module.dim)
 
 
-def eigen_multiplicities(module: FrobeniusModule
-                         ) -> list[tuple[gf.Polynomial, int]]:
-    """Geometric multiplicities per irreducible factor of the characteristic
-    polynomial over F_2: for a factor p of degree k, each of its k conjugate
-    eigenvalues has multiplicity dim ker(p(M)) / k."""
-    n = module.dim
-    f2field = gf.make_field(2, 1)
-    cp = gf.Polynomial(f2field, f2.charpoly(list(module.rows), n))
-    out = []
-    for p, _ in gf.poly_factor(cp):
-        pm = f2.poly_eval_rows(p.coeffs, list(module.rows), n)
-        kdim = f2.kernel_dim(pm, n)
-        if kdim % p.degree != 0:
+def _block_counts(module: FrobeniusModule, p: Sequence[int]) -> list[int]:
+    """r_t = (dim ker p(M)^t - dim ker p(M)^(t-1)) / deg p for t = 1, 2, ...
+    while positive: the number of elementary divisors p^e of M with e >= t,
+    for an irreducible p over F_2 (coefficients ascending)."""
+    n, deg = module.dim, len(p) - 1
+    pm = f2.poly_eval_rows(p, module.rows, n)
+    power, prev, counts = pm, 0, []
+    while (kdim := f2.kernel_dim(power, n)) > prev:
+        if (kdim - prev) % deg:
             raise gf.InvariantError(
-                f"kernel dimension {kdim} is not a multiple of degree {p.degree}")
-        out.append((p, kdim // p.degree))
-    return out
-
-
-def is_semisimple(module: FrobeniusModule) -> bool:
-    """True iff the minimal polynomial is squarefree over F_2, checked as
-    ker p(M) = ker p(M)^2 for every irreducible factor p of the
-    characteristic polynomial."""
-    n = module.dim
-    rows = list(module.rows)
-    f2field = gf.make_field(2, 1)
-    cp = gf.Polynomial(f2field, f2.charpoly(rows, n))
-    for p, _ in gf.poly_factor(cp):
-        pm = f2.poly_eval_rows(p.coeffs, rows, n)
-        pm2 = f2.matmul_rows(pm, pm)
-        if f2.kernel_dim(pm, n) != f2.kernel_dim(pm2, n):
-            return False
-    return True
+                f"kernel growth {kdim - prev} is not a multiple of degree {deg}")
+        counts.append((kdim - prev) // deg)
+        prev, power = kdim, f2.matmul_rows(power, pm)
+    return counts
 
 
 def tensor_invariant_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
-    """dim ker(MC (x) MD - I) over F_2, computed directly on the Kronecker
-    product (the invariants of Frobenius on the tensor square)."""
-    if mc.dim > 64 or md.dim > 64:
-        raise TooLarge("factors must have dimension <= 64 each")
-    big = f2.kron_rows(list(mc.rows), mc.dim, list(md.rows), md.dim)
-    n = mc.dim * md.dim
-    rows = f2.add_rows(big, f2.identity_rows(n))
-    return f2.kernel_dim(rows, n)
+    """dim ker(MC (x) MD - I) over F_2, the invariants of Frobenius on the
+    tensor product, from the elementary divisors of the two factors.
 
-
-def eigen_pairing_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
-    """Sum over eigenvalues lambda of m_{lambda,C} * m_{lambda^{-1},D}
-    (algebraic-closure eigenspace dimensions), valid for the invariant
-    dimension when at least one factor is semisimple.  Computed per
-    irreducible factor p via its reciprocal polynomial."""
-    multsc = eigen_multiplicities(mc)
-    multsd = {p.coeffs: m for p, m in eigen_multiplicities(md)}
-    f2field = gf.make_field(2, 1)
+    The kernel is the solution space of MC X = X C with C = MD^-T, and by
+    Frobenius' theorem (Gantmacher, Theory of Matrices I, ch. VIII) its
+    dimension is sum_p deg p * sum_{i,j} min(e_i, f_j) over the elementary
+    divisors p^e_i of MC and p^f_j of C.  Those of C at p are those of MD at
+    the reciprocal p*(x) = x^deg p * p(1/x), and with r_t the number of
+    exponents >= t the inner sum is sum_t r_t(MC, p) * r_t(MD, p*).  Frobenius
+    is invertible, and the pairing needs it: a singular module raises
+    ValueError.
+    """
+    for m in (mc, md):
+        if f2.rank(m.rows, m.dim) < m.dim:
+            raise ValueError(f"singular {m.dim}-dimensional module: "
+                             "Frobenius must be invertible")
+    cp = gf.Polynomial(gf.make_field(2, 1), f2.charpoly(mc.rows, mc.dim))
     total = 0
-    for p, m in multsc:
-        recip = gf.Polynomial(f2field, tuple(reversed(p.coeffs)))
-        total += p.degree * m * multsd.get(recip.coeffs, 0)
+    for p, _ in gf.poly_factor(cp):
+        pairs = zip(_block_counts(mc, p.coeffs), _block_counts(md, p.coeffs[::-1]))
+        total += p.degree * sum(a * b for a, b in pairs)
     return total
 
 

@@ -1,0 +1,157 @@
+"""Reference implementations kept as test oracles.
+
+The library computes the Kunneth invariant dimension from elementary
+divisors and GF(2) ranks by leading-bit elimination on Python ints.  The
+paths below are the earlier, independent ways of computing the same
+numbers: the rank of MC (x) MD - I on the Kronecker product, a packed numpy
+elimination, and the semisimple-only eigenvalue pairing.  Tests compare the
+library against them, also on random invertible matrices drawn here.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+from typing import Sequence
+
+import numpy as np
+
+from surfcodes import f2, gf
+from surfcodes.towers import FrobeniusModule
+
+
+class TooLarge(RuntimeError):
+    pass
+
+
+def matpow_rows(a: Sequence[int], e: int, n: int) -> list[int]:
+    result = f2.identity_rows(n)
+    base = list(a)
+    while e:
+        if e & 1:
+            result = f2.matmul_rows(result, base)
+        base = f2.matmul_rows(base, base)
+        e >>= 1
+    return result
+
+
+def kron_rows(a: Sequence[int], na: int, b: Sequence[int], nb: int) -> list[int]:
+    """Kronecker product with index convention (i, j) -> i*nb + j on both axes."""
+    out = []
+    for ra in a:
+        for rb in b:
+            acc = 0
+            r = ra
+            while r:
+                k = (r & -r).bit_length() - 1
+                acc |= rb << (k * nb)
+                r &= r - 1
+            out.append(acc)
+    return out
+
+
+def _pack(rows: Sequence[int], ncols: int) -> np.ndarray:
+    words = max(1, (ncols + 63) // 64)
+    nbytes = words * 8
+    buf = bytearray(len(rows) * nbytes)
+    for i, row in enumerate(rows):
+        buf[i * nbytes:(i + 1) * nbytes] = row.to_bytes(nbytes, "little")
+    return np.frombuffer(bytes(buf), dtype=np.uint64).reshape(len(rows), words).copy()
+
+
+def packed_rank(rows: Sequence[int], ncols: int) -> int:
+    """Rank over GF(2) by forward elimination on rows packed into numpy
+    uint64 words, column by column."""
+    nrows = len(rows)
+    if nrows == 0 or ncols == 0:
+        return 0
+    m = _pack(rows, ncols)
+    r = 0
+    for c in range(ncols):
+        w, b = divmod(c, 64)
+        col = (m[r:, w] >> np.uint64(b)) & np.uint64(1)
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        below = r + 1 + np.nonzero((m[r + 1:, w] >> np.uint64(b)) & np.uint64(1))[0]
+        if below.size:
+            m[below] ^= m[r]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def kron_invariant_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
+    """dim ker(MC (x) MD - I) over F_2, computed directly on the Kronecker
+    product; refuses factors above 64 dimensions (a 4096 x 4096 rank)."""
+    if mc.dim > 64 or md.dim > 64:
+        raise TooLarge("factors must have dimension <= 64 each")
+    big = kron_rows(list(mc.rows), mc.dim, list(md.rows), md.dim)
+    n = mc.dim * md.dim
+    rows = f2.add_rows(big, f2.identity_rows(n))
+    return n - packed_rank(rows, n)
+
+
+def eigen_multiplicities(module: FrobeniusModule
+                         ) -> list[tuple[gf.Polynomial, int]]:
+    """Geometric multiplicities per irreducible factor of the characteristic
+    polynomial over F_2: for a factor p of degree k, each of its k conjugate
+    eigenvalues has multiplicity dim ker(p(M)) / k."""
+    n = module.dim
+    f2field = gf.make_field(2, 1)
+    cp = gf.Polynomial(f2field, f2.charpoly(list(module.rows), n))
+    out = []
+    for p, _ in gf.poly_factor(cp):
+        pm = f2.poly_eval_rows(p.coeffs, list(module.rows), n)
+        kdim = f2.kernel_dim(pm, n)
+        if kdim % p.degree != 0:
+            raise gf.InvariantError(
+                f"kernel dimension {kdim} is not a multiple of degree {p.degree}")
+        out.append((p, kdim // p.degree))
+    return out
+
+
+def is_semisimple(module: FrobeniusModule) -> bool:
+    """True iff the minimal polynomial is squarefree over F_2, checked as
+    ker p(M) = ker p(M)^2 for every irreducible factor p of the
+    characteristic polynomial."""
+    n = module.dim
+    rows = list(module.rows)
+    f2field = gf.make_field(2, 1)
+    cp = gf.Polynomial(f2field, f2.charpoly(rows, n))
+    for p, _ in gf.poly_factor(cp):
+        pm = f2.poly_eval_rows(p.coeffs, rows, n)
+        pm2 = f2.matmul_rows(pm, pm)
+        if f2.kernel_dim(pm, n) != f2.kernel_dim(pm2, n):
+            return False
+    return True
+
+
+def eigen_pairing_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
+    """Sum over eigenvalues lambda of m_{lambda,C} * m_{lambda^{-1},D}
+    (algebraic-closure eigenspace dimensions), valid for the invariant
+    dimension when at least one factor is semisimple.  Computed per
+    irreducible factor p via its reciprocal polynomial."""
+    multsc = eigen_multiplicities(mc)
+    multsd = {p.coeffs: m for p, m in eigen_multiplicities(md)}
+    f2field = gf.make_field(2, 1)
+    total = 0
+    for p, m in multsc:
+        recip = gf.Polynomial(f2field, tuple(reversed(p.coeffs)))
+        total += p.degree * m * multsd.get(recip.coeffs, 0)
+    return total
+
+
+def random_invertible(rng) -> SimpleNamespace:
+    """A module-like matrix (dim, rows) drawn uniformly from GL_n(F_2), n
+    uniform in 1..8: Jordan blocks of any size and eigenvalues in any
+    extension of F_2, unlike the permutation modules.  The invariant
+    dimension reads nothing but dim and rows."""
+    n = rng.randrange(1, 9)
+    while True:
+        rows = tuple(rng.getrandbits(n) for _ in range(n))
+        if packed_rank(rows, n) == n:
+            return SimpleNamespace(dim=n, rows=rows)

@@ -3,6 +3,7 @@ printed PASS/FAIL line each (visible under ``pytest -v -s``)."""
 
 import random
 import time
+import oracles
 
 from surfcodes import bounds as bd
 from surfcodes import codes as cd
@@ -153,15 +154,20 @@ def test_criterion_8_kunneth_oracle():
             md = tw.module_from_cycle_type([2] * (g2 + 1))
             ok &= tw.tensor_invariant_dim(mc, md) == 2 * g1 * g2
     rng = random.Random(1234)
-    tested = 0
-    while tested < 100:
+    semisimple = 0
+    for _ in range(300):
         mc = tw.module_from_cycle_type(_random_cycle_type(rng))
         md = tw.module_from_cycle_type(_random_cycle_type(rng))
-        if not (tw.is_semisimple(mc) or tw.is_semisimple(md)):
-            continue
-        ok &= tw.eigen_pairing_dim(mc, md) == tw.tensor_invariant_dim(mc, md)
-        tested += 1
-    report("8 Kunneth tensor oracle + eigen formula on 100 semisimple pairs", ok)
+        kron = oracles.kron_invariant_dim(mc, md)
+        ok &= tw.tensor_invariant_dim(mc, md) == kron
+        if oracles.is_semisimple(mc) or oracles.is_semisimple(md):
+            ok &= oracles.eigen_pairing_dim(mc, md) == kron
+            semisimple += 1
+    for _ in range(100):
+        mc, md = oracles.random_invertible(rng), oracles.random_invertible(rng)
+        ok &= tw.tensor_invariant_dim(mc, md) == oracles.kron_invariant_dim(mc, md)
+    report("8 Kunneth invariants = Kronecker oracle on 300 cycle-type and 100 "
+           f"invertible pairs; eigen formula on the {semisimple} semisimple ones", ok)
 
 
 def test_criterion_9_polygon_and_affinity():

@@ -140,6 +140,14 @@ class TestBoundsCommand:
                            "--divisor", "1")
         assert code == 2
 
+    def test_exact_over_point_budget_is_null(self, capsys):
+        # the code would exceed the point budget, so the report carries no
+        # exact parameters instead of failing as a whole
+        code, payload = run_json(capsys, "bounds", "--surface", "p1xp1",
+                                 "--q", "1024", "--divisor", "1,1", "--exact")
+        assert code == 0
+        assert payload["n"] == 1025 ** 2 and payload["exact"] is None
+
     def test_grid_affine_gamma(self, capsys):
         code, payload = run_json(capsys, "bounds", "--surface", "hirzebruch",
                                  "--e", "1", "--q", "3", "--divisor", "1,1",
@@ -171,6 +179,13 @@ class TestTowerCommands:
         assert code == 0
         found = {(c["g1"], c["g2"], c["rho"]) for c in payload}
         assert (30, 30, 1) in found
+
+    def test_check_beyond_64_dimensions(self, capsys):
+        # C has a 68-dimensional module, beyond the Kronecker oracle's 64
+        code, payload = run_json(capsys, "tower", "check", "--q", "71",
+                                 "--g1", "34", "--g2", "4", "--rho", "1")
+        assert code == 0
+        assert payload["h1G"] == 72 and payload["h2G"] == 274
 
     def test_search_even_q_exit_2(self, capsys):
         code, _ = run_json(capsys, "tower", "search", "--q", "4",

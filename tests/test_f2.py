@@ -1,5 +1,6 @@
 import random
 
+import oracles
 from surfcodes import f2, gf
 
 
@@ -63,6 +64,27 @@ class TestRank:
             assert f2.rank(rows, n) == rank
             assert f2.kernel_dim(rows, n) == n - rank
 
+    def test_against_packed_oracle(self):
+        # dense square, rectangular both ways, low rank, and Kronecker
+        # products with an identity shift (the old tensor-invariant input)
+        rng = random.Random(12)
+        cases = [(n, n) for n in (1, 8, 64, 65, 200)]
+        cases += [(5, 90), (90, 5), (64, 130), (130, 64)]
+        for nrows, ncols in cases:
+            rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+            few = rows[:3]          # rank <= 3 after mixing
+            low = [rng.choice(few) ^ rng.choice(few) for _ in range(nrows)]
+            for m in (rows, low):
+                assert f2.rank(m, ncols) == oracles.packed_rank(m, ncols)
+        for na, nb in ((3, 4), (6, 6), (8, 10)):
+            a = [rng.getrandbits(na) for _ in range(na)]
+            b = [rng.getrandbits(nb) for _ in range(nb)]
+            n = na * nb
+            for k in (oracles.kron_rows(a, na, b, nb),
+                      f2.add_rows(oracles.kron_rows(a, na, b, nb),
+                                  f2.identity_rows(n))):
+                assert f2.rank(k, n) == oracles.packed_rank(k, n)
+
 
 class TestMatOps:
     def test_matmul_identity(self):
@@ -80,7 +102,7 @@ class TestMatOps:
         rng = random.Random(9)
         a = random_rows(rng, 3)
         b = random_rows(rng, 4)
-        k = f2.kron_rows(a, 3, b, 4)
+        k = oracles.kron_rows(a, 3, b, 4)
         for i in range(3):
             for j in range(4):
                 for s in range(3):
@@ -92,8 +114,8 @@ class TestMatOps:
     def test_matpow(self):
         # 4-cycle permutation matrix has order 4
         perm = [1 << ((i + 1) % 4) for i in range(4)]
-        assert f2.matpow_rows(perm, 4, 4) == f2.identity_rows(4)
-        assert f2.matpow_rows(perm, 2, 4) != f2.identity_rows(4)
+        assert oracles.matpow_rows(perm, 4, 4) == f2.identity_rows(4)
+        assert oracles.matpow_rows(perm, 2, 4) != f2.identity_rows(4)
 
 
 class TestCharpoly:

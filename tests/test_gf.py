@@ -86,6 +86,11 @@ class TestMakeField:
         with pytest.raises(NotPrime):
             gf.field_from_order(12)
 
+    def test_one_instance_per_field(self):
+        # the cache key does not depend on whether m is passed
+        assert make_field(7) is make_field(7, 1) is gf.field_from_order(7)
+        assert make_field(3, m=2) is make_field(3, 2) is gf.field_from_order(9)
+
     def test_json_round_trip(self):
         spec = make_field(3, 2)
         assert gf.field_from_json(spec.to_json_dict()) is spec

@@ -1,15 +1,16 @@
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+import oracles
+from oracles import eigen_multiplicities, eigen_pairing_dim, random_invertible
 from surfcodes import f2, gf
 from surfcodes import towers as tw
 from surfcodes.towers import (HyperellipticCurve, NotEnoughFactors,
-                              NotSquarefree, OddDegree, TooLarge,
-                              eigen_multiplicities, eigen_pairing_dim,
-                              fixed_space_dim, golod_shafarevich_check,
-                              gs_check_chi_form, hyperelliptic_point_count,
+                              NotSquarefree, OddDegree, fixed_space_dim,
+                              golod_shafarevich_check, gs_check_chi_form, hyperelliptic_point_count,
                               hyperelliptic_product_certificate,
                               kunneth_invariants, marked_invariants,
                               module_from_cycle_type, naive_point_count,
@@ -149,8 +150,8 @@ class TestFrobeniusModules:
     def test_six_cycle_order(self):
         m = module_from_cycle_type([6])
         rows = list(m.rows)
-        assert f2.matpow_rows(rows, 6, 4) == f2.identity_rows(4)
-        assert f2.matpow_rows(rows, 3, 4) != f2.identity_rows(4)
+        assert oracles.matpow_rows(rows, 6, 4) == f2.identity_rows(4)
+        assert oracles.matpow_rows(rows, 3, 4) != f2.identity_rows(4)
         # the orbit indicator is the all-ones vector, which the quotient
         # kills: no invariants survive and the char poly is (x^2+x+1)^2
         assert fixed_space_dim(m) == 0
@@ -208,26 +209,47 @@ class TestEigenData:
 
     def test_unipotent_pair_exceeds_eigen_formula(self):
         uni = tw.FrobeniusModule(g=1, rows=(0b11, 0b10), provenance=(2,))
-        assert not tw.is_semisimple(uni)
+        assert not oracles.is_semisimple(uni)
         assert tw.tensor_invariant_dim(uni, uni) == 2
         assert eigen_pairing_dim(uni, uni) == 1
 
     def test_too_large(self):
+        # the Kronecker oracle refuses sides above 64 dimensions; the
+        # elementary-divisor path answers (I_66 (x) I_66 fixes everything)
         big = tw.FrobeniusModule(g=33, rows=tuple(f2.identity_rows(66)),
                                  provenance=(1,) * 68)
-        with pytest.raises(TooLarge):
-            tw.tensor_invariant_dim(big, big)
+        with pytest.raises(oracles.TooLarge):
+            oracles.kron_invariant_dim(big, big)
+        assert tw.tensor_invariant_dim(big, big) == 66 * 66
 
     def test_eigen_formula_matches_kron_with_semisimple_factor(self):
+        # every cycle-type pair, semisimple or not, against the Kronecker
+        # oracle; the eigenvalue pairing wherever one factor is semisimple
         rng = random.Random(99)
-        tested = 0
-        while tested < 40:
+        semisimple = 0
+        for _ in range(300):
             mc = module_from_cycle_type(random_cycle_type(rng))
             md = module_from_cycle_type(random_cycle_type(rng))
-            if not (tw.is_semisimple(mc) or tw.is_semisimple(md)):
-                continue
-            assert eigen_pairing_dim(mc, md) == tw.tensor_invariant_dim(mc, md)
-            tested += 1
+            kron = oracles.kron_invariant_dim(mc, md)
+            assert tw.tensor_invariant_dim(mc, md) == kron
+            if oracles.is_semisimple(mc) or oracles.is_semisimple(md):
+                assert eigen_pairing_dim(mc, md) == kron
+                semisimple += 1
+        assert 40 <= semisimple < 300      # the sample holds both kinds
+
+    def test_random_invertible_pairs_match_kron(self):
+        rng = random.Random(100)
+        for _ in range(150):
+            mc, md = random_invertible(rng), random_invertible(rng)
+            assert tw.tensor_invariant_dim(mc, md) == \
+                oracles.kron_invariant_dim(mc, md)
+
+    def test_singular_module_raises(self):
+        nil = SimpleNamespace(dim=2, rows=(0b10, 0b00))   # x^2: nilpotent
+        i2 = module_from_cycle_type([1, 1, 1, 1])
+        for mc, md in ((nil, i2), (i2, nil)):
+            with pytest.raises(ValueError, match="singular"):
+                tw.tensor_invariant_dim(mc, md)
 
 
 def random_cycle_type(rng, max_total=12):
