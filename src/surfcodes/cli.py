@@ -1,7 +1,8 @@
 """Command-line surface over the library: verb-noun subcommands with JSON on
 stdout (or --out), deterministic seeds, and budget guards.
 
-Exit codes: 0 success, 2 precondition violation, 3 budget exceeded, 4 I/O
+Exit codes: 0 success, 1 internal error (a failed invariant or closed-form
+cross-check, i.e. a bug), 2 precondition violation, 3 budget exceeded, 4 I/O
 error.  On failure a structured {"error": {...}} JSON is printed and the
 process exits nonzero.
 """
@@ -17,12 +18,14 @@ from typing import Optional
 from . import asymptotic as asym
 from . import bounds as bd
 from . import codes as cd
+from . import gf
 from . import surfaces as sf
 from . import towers as tw
 
 DEFAULT_SEED = 1
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
@@ -299,6 +302,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except cd.BudgetExceeded as exc:
         sys.stdout.write(_error_json("budget", str(exc)))
         return EXIT_BUDGET
+    except gf.InvariantError as exc:
+        sys.stdout.write(_error_json("internal", str(exc)))
+        return EXIT_INTERNAL
     except OSError as exc:
         sys.stdout.write(_error_json("io", str(exc)))
         return EXIT_IO

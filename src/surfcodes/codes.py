@@ -3,6 +3,9 @@
 A code is built by evaluating a monomial basis of the sections of a divisor
 class at a canonical list of rational points; the exact minimum distance is
 then available by exhaustive search over projective message representatives.
+Each head codeword is compared with one table of all combinations of the
+last generator rows, one comparison per message, in arrays of at most
+MAX_KERNEL_CELLS entries or the q multiples of one row, if more.
 
 Canonical point representatives
 -------------------------------
@@ -32,7 +35,7 @@ from . import surfaces as sf
 
 DEFAULT_DISTANCE_BUDGET = 10_000_000
 MAX_POINTS = 10 ** 6
-_BLOCK = 1 << 14
+MAX_KERNEL_CELLS = 1 << 20
 
 
 class UnsupportedSubset(ValueError):
@@ -331,31 +334,17 @@ def enumeration_size(q: int, k: int) -> int:
     return (q ** k - 1) // (q - 1)
 
 
-def _min_weight_for_leading(field, gen_np, add_t, mul_t, lead: int) -> int:
-    """Minimum codeword weight over messages whose first nonzero coordinate
-    is 1 at position `lead`; exhaustive over the q^(k-1-lead) tails."""
-    k, n = gen_np.shape
-    q = field.q
-    free = list(range(lead + 1, k))
-    base = gen_np[lead]
-    t = len(free)
-    total = q ** t
-    best = n + 1
-    for start in range(0, total, _BLOCK):
-        cnt = min(_BLOCK, total - start)
-        block = np.arange(start, start + cnt, dtype=np.int64)
-        cw = np.broadcast_to(base, (cnt, n)).copy()
-        rem = block
-        for j in free:
-            rem, digit = np.divmod(rem, q)
-            scaled = mul_t[digit[:, None], gen_np[j][None, :]]
-            cw = add_t[cw, scaled]
-        w = int(np.count_nonzero(cw, axis=1).min()) if cnt else n + 1
-        if w < best:
-            best = w
-            if best <= 1:
-                return best
-    return best
+def _span_table(add_t, mul_t, rows: np.ndarray) -> np.ndarray:
+    """All q^s combinations of the s given rows, built in s broadcast steps.
+
+    Entry sum_u c_u q^u is sum_u c_u rows[s-1-u], so the first q^t entries
+    are the span of the last t rows."""
+    table = np.zeros((1, rows.shape[1]), dtype=np.uint16)
+    for row in rows[::-1]:
+        scaled = mul_t[:, row]                            # c * row, c in F_q
+        table = add_t[scaled[:, None, :], table[None, :, :]]
+        table = table.reshape(-1, rows.shape[1])
+    return table
 
 
 def exact_min_distance(code: LinearCode,
@@ -364,25 +353,50 @@ def exact_min_distance(code: LinearCode,
 
     Enumerates projective message representatives (first nonzero message
     coordinate fixed to 1) since scaling a message scales the codeword and
-    preserves its weight.  The messages are searched in blocks by leading
-    index, stopping early once a codeword of weight <= 1 is found.
+    preserves its weight.  Table L holds all combinations of the last s
+    generator rows, s as large as q^s * n <= MAX_KERNEL_CELLS allows (at
+    least 1).  For leading index i, the heads h (row i plus a combination of
+    the rows between i and L) are built in chunks of MAX_KERNEL_CELLS
+    entries; with x over the span of the first q^min(s, k-1-i) rows of L,
+    the h - x are the codewords with head h, and wt(h - x) counts the
+    positions where x != h: one comparison per message.  The search stops
+    at the first codeword of weight <= 1.  Fields above gf.MAX_TABLE_ORDER
+    have no operation tables and raise BudgetExceeded before any is built.
     """
     if code.k == 0:
         raise EmptySystem("zero code has no minimum distance")
-    q = code.field.q
-    total = enumeration_size(q, code.k)
+    q, n, k = code.field.q, code.n, code.k
+    total = enumeration_size(q, k)
     if total > budget:
         raise BudgetExceeded(
             f"enumeration needs {total} messages, budget is {budget}")
+    if q > gf.MAX_TABLE_ORDER:
+        raise BudgetExceeded(f"operation tables not built for q = {q} > "
+                             f"{gf.MAX_TABLE_ORDER}")
     add_t, mul_t = code.field.numpy_tables()
-    gen_np = np.array(code.generator, dtype=np.uint16)
-    best = code.n + 1
-    for i in range(code.k):
-        w = _min_weight_for_leading(code.field, gen_np, add_t, mul_t, i)
-        if w < best:
-            best = w
-            if best <= 1:
-                break
+    gen = np.array(code.generator, dtype=np.uint16)
+    s = 1
+    while s + 1 < k and q ** (s + 1) * n <= MAX_KERNEL_CELLS:
+        s += 1
+    low = _span_table(add_t, mul_t, gen[k - s:])
+    chunk = max(1, MAX_KERNEL_CELLS // n)
+    best = n + 1
+    for i in range(k):
+        table = low[:q ** min(s, k - 1 - i)]
+        free = gen[i + 1:k - s]                           # rows above L
+        heads_total = q ** len(free)
+        for start in range(0, heads_total, chunk):
+            idx = np.arange(start, min(start + chunk, heads_total))
+            heads = np.broadcast_to(gen[i], (len(idx), n))
+            for row in free:
+                idx, digit = np.divmod(idx, q)
+                heads = add_t[heads, mul_t[digit[:, None], row]]
+            for head in heads:
+                w = n - int((table == head).sum(axis=1).max())
+                if w < best:
+                    best = w
+                    if best <= 1:
+                        return best
     return best
 
 

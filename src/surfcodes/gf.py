@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_FIELD_SIZE = 65536
+MAX_TABLE_ORDER = 4096
 
 # Seed for the randomized equal-degree splitting step of poly_factor.  The
 # output order is canonical (sorted) so the seed only affects internal work,
@@ -224,11 +225,13 @@ class FieldSpec:
     # -- cached numpy operation tables (used by the distance kernels) -------
 
     def numpy_tables(self):
-        """(add, mul) tables as q-by-q uint16 arrays; built once, q <= 4096."""
+        """(add, mul) tables as q-by-q uint16 arrays; built once, for
+        q <= MAX_TABLE_ORDER."""
         if self._np_add is None:
             import numpy as np
-            if self.q > 4096:
-                raise FieldTooLarge(f"operation tables not built for q = {self.q} > 4096")
+            if self.q > MAX_TABLE_ORDER:
+                raise FieldTooLarge(f"operation tables not built for q = {self.q} "
+                                    f"> {MAX_TABLE_ORDER}")
             q, p = self.q, self.p
             # log a + log b < 2 (q - 1) <= 8190 indexes a doubled exp table
             exp2 = np.array(self._exp * 2, dtype=np.uint16)

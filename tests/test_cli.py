@@ -4,6 +4,7 @@ import time
 import pytest
 
 from surfcodes import cli
+from surfcodes import towers as tw
 
 _F3 = {"p": 3, "m": 1, "modulus": [0]}
 MALFORMED_CODES = {
@@ -13,6 +14,10 @@ MALFORMED_CODES = {
     "dependent_rows": {"field": _F3, "n": 4, "k": 2,
                        "generator": [1, 2, 0, 1, 1, 2, 0, 1]},
 }
+
+# a code over F_8192, which has no operation tables
+Q8192_ARGS = ("--surface", "p1xp1", "--q", "8192", "--divisor", "1,0",
+              "--points", "grid", "--grid-a", "1,2,3", "--grid-b", "4,5")
 
 
 def run(capsys, *argv):
@@ -72,6 +77,15 @@ class TestCodeCommands:
                                  "--budget", "10")
         assert code == 3
         assert payload["error"]["kind"] == "budget"
+
+    def test_distance_without_tables_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        code, _ = run(capsys, "code", "build", *Q8192_ARGS, "--out", str(path))
+        assert code == 0
+        code, payload = run_json(capsys, "code", "distance", "--in", str(path))
+        assert code == 3
+        assert payload["error"]["kind"] == "budget"
+        assert "q = 8192 > 4096" in payload["error"]["message"]
 
     def test_missing_file_exit_4(self, capsys, tmp_path):
         code, payload = run_json(capsys, "code", "distance", "--in",
@@ -148,6 +162,11 @@ class TestBoundsCommand:
         assert code == 0
         assert payload["n"] == 1025 ** 2 and payload["exact"] is None
 
+    def test_exact_without_tables_is_null(self, capsys):
+        code, payload = run_json(capsys, "bounds", *Q8192_ARGS, "--exact")
+        assert code == 0
+        assert payload["n"] == 6 and payload["exact"] is None
+
     def test_grid_affine_gamma(self, capsys):
         code, payload = run_json(capsys, "bounds", "--surface", "hirzebruch",
                                  "--e", "1", "--q", "3", "--divisor", "1,1",
@@ -186,6 +205,20 @@ class TestTowerCommands:
                                  "--g1", "34", "--g2", "4", "--rho", "1")
         assert code == 0
         assert payload["h1G"] == 72 and payload["h2G"] == 274
+
+    def test_invariant_error_exit_1(self, capsys, monkeypatch):
+        real = tw.kunneth_invariants
+
+        def off_by_one(mc, md):
+            kd = real(mc, md)
+            return {**kd, "h1G": kd["h1G"] + 1}
+
+        monkeypatch.setattr(tw, "kunneth_invariants", off_by_one)
+        code, payload = run_json(capsys, "tower", "check", "--q", "11",
+                                 "--g1", "2", "--g2", "2", "--rho", "1")
+        assert code == 1
+        assert payload["error"]["kind"] == "internal"
+        assert "h1G" in payload["error"]["message"]
 
     def test_search_even_q_exit_2(self, capsys):
         code, _ = run_json(capsys, "tower", "search", "--q", "4",

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,39 @@ from surfcodes.codes import (BudgetExceeded, EmptySystem, UnsupportedSubset,
                              build_code, code_from_json_dict, enumeration_size,
                              exact_min_distance, rational_locus_check,
                              rational_points, section_basis)
+from oracles import blocked_min_distance
+
+SWEEP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+
+
+def random_sweep_codes(seed: int, count: int) -> list[cd.LinearCode]:
+    """Random full-rank generators over the sweep fields, cycling through
+    every k in 1..7 whose enumeration stays small; every fifth code hides a
+    weight-1 codeword in a combination of two rows."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = SWEEP_FIELDS[len(out) % len(SWEEP_FIELDS)]
+        field = gf.field_from_order(q)
+        ks = [k for k in range(1, 8) if enumeration_size(q, k) <= 6000]
+        k = ks[len(out) // len(SWEEP_FIELDS) % len(ks)]
+        n = rng.randint(k, 40)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if len(out) % 5 == 0:
+            r = rng.randrange(k)
+            rows[r] = [0] * n
+            rows[r][rng.randrange(n)] = rng.randrange(1, q)
+            if k > 1:
+                other = rows[(r + 1) % k]
+                c = rng.randrange(1, q)
+                rows[r] = [field.add(a, field.mul(c, b))
+                           for a, b in zip(rows[r], other)]
+        if cd.matrix_rank(field, rows) != k:
+            continue
+        out.append(cd.LinearCode(field=field, n=n, k=k,
+                                 generator=tuple(map(tuple, rows)),
+                                 section_count=k))
+    return out
 
 
 class TestRationalPoints:
@@ -222,6 +256,54 @@ class TestExactMinDistance:
         bound = hirzebruch_grid_bound(3, 3, 1, 1, 1)
         assert bound == 3  # 9 - 6 - 3 + 3
         assert bound <= d
+
+    @pytest.mark.parametrize("cells", [None, 1, 1000],
+                             ids=["default", "one_row", "small_table"])
+    def test_sweep_matches_blocked_oracle(self, monkeypatch, cells):
+        # a cap of 1 keeps one generator row in the table, so every other
+        # row is enumerated in the heads; 1000 keeps small tables under them
+        if cells is not None:
+            monkeypatch.setattr(cd, "MAX_KERNEL_CELLS", cells)
+        sweep = random_sweep_codes(seed=7, count=220)
+        got = [exact_min_distance(c) for c in sweep]
+        assert got == [blocked_min_distance(c) for c in sweep]
+        assert {c.k for c in sweep} == set(range(1, 8))
+        assert {c.field.q for c in sweep} == set(SWEEP_FIELDS)
+        assert got.count(1) >= 20 and max(got) > 10
+
+    @pytest.mark.parametrize("surface, div, q, tag", [
+        (sf.projective_plane(), (2,), 4, "all"),
+        (sf.quadric_p1xp1(), (2, 2), 4, "all"),
+        (sf.quadric_p1xp1(), (1, 2), 5, "all"),
+        (sf.quadric_p1xp1(), (1, 1), 8, "grid"),
+        (sf.hirzebruch(1), (3, 1), 4, "all"),
+        (sf.hirzebruch(2), (4, 1), 4, "all"),
+    ], ids=["p2_2_q4", "quadric_22_q4", "quadric_12_q5", "quadric_11_q8_grid",
+            "hirzebruch1_31_q4", "hirzebruch2_41_q4"])
+    def test_catalog_codes_match_blocked_oracle(self, surface, div, q, tag):
+        code = build_code(surface, surface.divisor(*div), q, tag)
+        assert exact_min_distance(code) == blocked_min_distance(code)
+
+    def test_memory_bounded_by_cell_cap(self):
+        # P^2, lines at q = 64: n = 4161 and d = q^2
+        s = sf.projective_plane()
+        code = build_code(s, s.divisor(1), 64)
+        assert code.n == 4161
+        tracemalloc.start()
+        try:
+            d = exact_min_distance(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == 4096
+        assert peak < 16 << 20
+
+    def test_field_without_tables_is_over_budget(self):
+        s = sf.quadric_p1xp1()
+        code = build_code(s, s.divisor(1, 0), 8192, "grid", ((1, 2, 3), (4, 5)))
+        with pytest.raises(BudgetExceeded, match="q = 8192 > 4096"):
+            exact_min_distance(code)
+        assert code.field._np_add is None
 
 
 class TestRationalLocus:
