@@ -5,7 +5,9 @@ class at a canonical list of rational points; the exact minimum distance is
 then available by exhaustive search over projective message representatives.
 Each head codeword is compared with one table of all combinations of the
 last generator rows, one comparison per message, in arrays of at most
-MAX_KERNEL_CELLS entries or the q multiples of one row, if more.
+MAX_KERNEL_CELLS entries or the q multiples of one row, if more; a code
+whose one-row table (q * n entries) exceeds MAX_ROW_TABLE_CELLS is refused
+as over budget.
 
 Canonical point representatives
 -------------------------------
@@ -36,6 +38,7 @@ from . import surfaces as sf
 DEFAULT_DISTANCE_BUDGET = 10_000_000
 MAX_POINTS = 10 ** 6
 MAX_KERNEL_CELLS = 1 << 20
+MAX_ROW_TABLE_CELLS = 1 << 25
 
 
 class UnsupportedSubset(ValueError):
@@ -361,7 +364,9 @@ def exact_min_distance(code: LinearCode,
     the h - x are the codewords with head h, and wt(h - x) counts the
     positions where x != h: one comparison per message.  The search stops
     at the first codeword of weight <= 1.  Fields above gf.MAX_TABLE_ORDER
-    have no operation tables and raise BudgetExceeded before any is built.
+    have no operation tables, and a table of one row's q multiples would
+    exceed MAX_ROW_TABLE_CELLS when q * n does: both raise BudgetExceeded
+    before any table is built.
     """
     if code.k == 0:
         raise EmptySystem("zero code has no minimum distance")
@@ -373,6 +378,9 @@ def exact_min_distance(code: LinearCode,
     if q > gf.MAX_TABLE_ORDER:
         raise BudgetExceeded(f"operation tables not built for q = {q} > "
                              f"{gf.MAX_TABLE_ORDER}")
+    if q * n > MAX_ROW_TABLE_CELLS:
+        raise BudgetExceeded(f"a span table of q * n = {q * n} entries exceeds "
+                             f"{MAX_ROW_TABLE_CELLS}")
     add_t, mul_t = code.field.numpy_tables()
     gen = np.array(code.generator, dtype=np.uint16)
     s = 1

@@ -82,39 +82,45 @@ def kernel_dim(rows: Sequence[int], ncols: int) -> int:
 
 def charpoly(rows: Sequence[int], n: int) -> list[int]:
     """Characteristic polynomial over GF(2), coefficients ascending (length
-    n + 1, leading coefficient 1), by the division-free Samuelson-Berkowitz
-    recurrence on leading principal submatrices."""
-    if n == 0:
-        return [1]
-    # c holds coefficients highest-degree first
-    c = [1]
-    for r in range(1, n + 1):
-        a = (rows[r - 1] >> (r - 1)) & 1
-        # column pieces: R = row r-1 restricted to cols < r-1, C = col r-1 of rows < r-1
-        mask = (1 << (r - 1)) - 1
-        rvec = rows[r - 1] & mask
-        cvec = 0
-        for i in range(r - 1):
-            cvec |= ((rows[i] >> (r - 1)) & 1) << i
-        # toeplitz column: [1, a, R C, R M C, R M^2 C, ...]
-        col = [1, a]
-        v = cvec
-        sub = rows[: r - 1]
-        for _ in range(r - 1):
-            col.append(bin(rvec & v).count("1") & 1)
-            # v <- M_{r-1} v  (column vector: entry i = parity of row_i & v)
-            nv = 0
-            for i in range(r - 1):
-                nv |= (bin(sub[i] & mask & v).count("1") & 1) << i
-            v = nv
-        newc = [0] * (r + 1)
-        for i in range(r + 1):
-            s = 0
-            for j in range(len(c)):
-                k = i - j
-                if 0 <= k < len(col):
-                    s ^= col[k] & c[j]
-            newc[i] = s
-        c = newc
-    c.reverse()  # ascending
-    return c
+    n + 1, leading coefficient 1).
+
+    A similarity brings the matrix to upper Hessenberg form H column by
+    column: a row swap with the matching column swap moves a pivot to the
+    subdiagonal, rows below it are cleared by adding the pivot row, and the
+    inverse column update (column k+1 += the cleared rows' columns) is done
+    for every row at once as the parity of row & kmask.  The charpolys p_m
+    of the leading m x m blocks of H then follow from
+        p_m = (x + H[c][c]) p_c + sum_{i < c} H[i][c] H[i+1][i]...H[c][c-1] p_i
+    with c = m - 1, on GF(2)[x] polynomials packed into ints (bit j = x^j).
+    """
+    h = list(rows)
+    for k in range(n - 2):
+        col = 1 << k
+        piv = next((i for i in range(k + 1, n) if h[i] & col), None)
+        if piv is None:
+            continue
+        t = k + 1
+        if piv != t:
+            h[piv], h[t] = h[t], h[piv]
+            for i in range(n):
+                d = ((h[i] >> piv) ^ (h[i] >> t)) & 1
+                h[i] ^= (d << piv) | (d << t)
+        kmask = 0
+        for i in range(t + 1, n):
+            if h[i] & col:
+                h[i] ^= h[t]
+                kmask |= 1 << i
+        if kmask:
+            for i in range(n):
+                h[i] ^= ((h[i] & kmask).bit_count() & 1) << t
+    polys = [1]
+    for m in range(1, n + 1):
+        c = m - 1
+        acc = (polys[c] << 1) ^ (polys[c] if (h[c] >> c) & 1 else 0)
+        for i in range(c - 1, -1, -1):
+            if not (h[i + 1] >> i) & 1:
+                break
+            if (h[i] >> c) & 1:
+                acc ^= polys[i]
+        polys.append(acc)
+    return [(polys[n] >> j) & 1 for j in range(n + 1)]

@@ -18,6 +18,7 @@ floating-point square roots; the certified boundary instance
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -110,20 +111,24 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int,
         roots = sorted(rng.sample(range(q), count))
         poly = gf.Polynomial.from_roots(field, roots)
     elif kind == "quadratic":
-        available = (q * q - q) // 2
+        half = (q - 1) // 2
+        available = q * half
         if count > available:
             raise NotEnoughFactors(
                 f"only {available} monic irreducible quadratics exist, need {count}")
-        # t^2 + b t + c irreducible over odd F_q iff b^2 - 4c is a nonsquare
+        # t^2 + b t + c is irreducible over odd F_q iff b^2 - 4c is a
+        # nonsquare.  As c runs over F_q so does b^2 - 4c, so every b has
+        # exactly (q - 1)/2 such c: index i names b = i // half and the
+        # (i mod half)-th such c in element order.
         four = field.from_int(4)
-        irreducible = [(b, c) for b in field.elements() for c in field.elements()
-                       if gf.quadratic_character(
-                           field, field.sub(field.mul(b, b), field.mul(four, c))) == -1]
-        picks = sorted(rng.sample(range(len(irreducible)), count))
         poly = gf.Polynomial.one(field)
-        for i in picks:
-            b, c = irreducible[i]
-            poly = poly * field.poly((c, b, 1))
+        picks = sorted(rng.sample(range(available), count))
+        for b, group in itertools.groupby(picks, key=lambda i: i // half):
+            bb = field.mul(b, b)
+            cs = [c for c in field.elements() if gf.quadratic_character(
+                field, field.sub(bb, field.mul(four, c))) == -1]
+            for i in group:
+                poly = poly * field.poly((cs[i % half], b, 1))
     else:
         raise ValueError(f"unknown factor kind {kind!r}")
     if leading_coeff is not None:
@@ -346,53 +351,49 @@ class TowerCertificate:
         }
 
 
-def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
-                                      seed: int = 1) -> TowerCertificate:
-    """Certify the tower criterion on C x D with C split (f a product of
-    2 g1 + 2 distinct linear factors) and D quadratic (g a product of g2 + 1
-    distinct irreducible quadratics), both monic.
+def _side(f: gf.Polynomial) -> tuple:
+    """One side of the product: the branch polynomial, the point count of
+    its curve and the Frobenius module on the curve's 2-torsion."""
+    curve = HyperellipticCurve(f.field, f)
+    return f, hyperelliptic_point_count(curve), two_torsion_frobenius(curve)
 
-    The invariant dimensions are computed from the actual Frobenius modules
-    and cross-checked against closed forms, raising InvariantError on a
-    mismatch.  For even g2 the closed forms are h1G = 2 g1 + g2 and
-    h2G = 2 g1 g2 + 2.  For odd g2 those are off by one invariant: the
-    subsets picking one root from each quadratic pair have even size exactly
-    when g2 is odd, and such a subset maps to its complement, hence is
-    Frobenius-fixed in the quotient module.  The parity-corrected values
-    (h1G = 2 g1 + g2 + 1, h2G = 2 g1 (g2 + 1) + 2) are the ones checked then;
-    the certificate always uses the module values.
 
-    The GS inequality is evaluated at the worst case r_T = 3 rho + 1.
-    Hypothesis failures set condition flags rather than raising.
-    """
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
-    f = sample_branch_poly(q, 2 * g1 + 2, "linear", seed)
-    g = sample_branch_poly(q, g2 + 1, "quadratic", seed)
-    field = f.field
-    curve_c = HyperellipticCurve(field, f)
-    curve_d = HyperellipticCurve(field, g)
-    count_c = hyperelliptic_point_count(curve_c)
-    count_d = hyperelliptic_point_count(curve_d)
-    mc = two_torsion_frobenius(curve_c)
-    md = two_torsion_frobenius(curve_d)
+def _checked_invariants(mc: FrobeniusModule, md: FrobeniusModule) -> dict:
+    """kunneth_invariants of a split module MC (genus g1) and a quadratic
+    module MD (genus g2), cross-checked against their closed forms; a
+    mismatch raises InvariantError.  For even g2 the closed forms are
+    h1G = 2 g1 + g2 and h2G = 2 g1 g2 + 2.  For odd g2 those are off by one
+    invariant: the subsets picking one root from each quadratic pair have
+    even size exactly when g2 is odd, and such a subset maps to its
+    complement, hence is Frobenius-fixed in the quotient module.  The
+    parity-corrected values (h1G = 2 g1 + g2 + 1, h2G = 2 g1 (g2 + 1) + 2)
+    are the ones checked then."""
     kd = kunneth_invariants(mc, md)
-    h1g, h2g = kd["h1G"], kd["h2G"]
+    h1g, h2g, g1, g2 = kd["h1G"], kd["h2G"], mc.g, md.g
     odd = g2 % 2
     if h1g != 2 * g1 + g2 + odd:
         raise gf.InvariantError(f"h1G = {h1g} fails its closed-form cross-check")
     if h2g != 2 * g1 * (g2 + odd) + 2:
         raise gf.InvariantError(f"h2G = {h2g} fails its closed-form cross-check")
+    return kd
+
+
+def _certify(q: int, rho: int, side_c: tuple, side_d: tuple,
+             kd: dict) -> TowerCertificate:
+    """The GS arithmetic at the worst case r_T = 3 rho + 1 on built sides."""
+    f, count_c, mc = side_c
+    g, count_d, md = side_d
+    h1g, h2g = kd["h1G"], kd["h2G"]
     rt = r_t_upper(rho)
     t_size = 4 * rho
     s = h1g - rt - 1
     conditions = {
-        "points_C": 2 * g1 + 2 + 2 * rho <= count_c,
+        "points_C": 2 * mc.g + 2 + 2 * rho <= count_c,
         "points_D": 2 * rho <= count_d,
         "gs": golod_shafarevich_check(h1g, h2g, rt, t_size),
     }
     return TowerCertificate(
-        q=q, g1=g1, g2=g2, rho=rho, f=f, g=g,
+        q=q, g1=mc.g, g2=md.g, rho=rho, f=f, g=g,
         count_c=count_c, count_d=count_d, h1g=h1g, h2g=h2g,
         rt_upper=rt, t_size=t_size,
         gs_lhs_squared=s * s if s >= 0 else -(s * s),
@@ -402,12 +403,37 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
     )
 
 
+def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
+                                      seed: int = 1) -> TowerCertificate:
+    """Certify the tower criterion on C x D with C split (f a product of
+    2 g1 + 2 distinct linear factors) and D quadratic (g a product of g2 + 1
+    distinct irreducible quadratics), both monic.
+
+    The invariant dimensions are computed from the actual Frobenius modules
+    and cross-checked against closed forms (_checked_invariants), raising
+    InvariantError on a mismatch; the certificate always uses the module
+    values.  Both branch polynomials are sampled before either curve is
+    built.  The GS inequality is evaluated at the worst case r_T = 3 rho + 1.
+    Hypothesis failures set condition flags rather than raising.
+    """
+    if rho < 1:
+        raise ValueError(f"rho must be >= 1, got {rho}")
+    f = sample_branch_poly(q, 2 * g1 + 2, "linear", seed)
+    g = sample_branch_poly(q, g2 + 1, "quadratic", seed)
+    side_c, side_d = _side(f), _side(g)
+    kd = _checked_invariants(side_c[2], side_d[2])
+    return _certify(q, rho, side_c, side_d, kd)
+
+
 def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
                       rho_range: Sequence[int], seed: int = 1) -> list[TowerCertificate]:
     """All passing certificates over the given ranges, in (g1, g2, rho)
-    order.  Candidates the branch sampling cannot realize (too few linear or
+    order, equal to the passing hyperelliptic_product_certificate results.
+    Candidates the branch sampling cannot realize (too few linear or
     irreducible quadratic factors, genus < 2, rho < 1) are skipped; the total
-    candidate count is budget-guarded."""
+    candidate count is budget-guarded.  Within one call each side is built
+    once per genus and the invariants once per (g1, g2); rho enters only the
+    GS arithmetic."""
     if gf.field_from_order(q).q % 2 == 0:
         raise gf.EvenCharacteristic("tower search needs odd q")
     total = len(g1_range) * len(g2_range) * len(rho_range)
@@ -419,6 +445,15 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
         return (2 * a + 2 <= q and b + 1 <= (q * q - q) // 2
                 and a >= 2 and b >= 2 and r >= 1)
 
-    certs = [hyperelliptic_product_certificate(q, a, b, r, seed)
-             for a, b, r in cands if feasible(a, b, r)]
-    return [c for c in certs if c.gs_pass]
+    sides_c, sides_d, invariants, certs = {}, {}, {}, []
+    for a, b, r in (c for c in cands if feasible(*c)):
+        if a not in sides_c:
+            sides_c[a] = _side(sample_branch_poly(q, 2 * a + 2, "linear", seed))
+        if b not in sides_d:
+            sides_d[b] = _side(sample_branch_poly(q, b + 1, "quadratic", seed))
+        if (a, b) not in invariants:
+            invariants[a, b] = _checked_invariants(sides_c[a][2], sides_d[b][2])
+        cert = _certify(q, r, sides_c[a], sides_d[b], invariants[a, b])
+        if cert.gs_pass:
+            certs.append(cert)
+    return certs

@@ -10,6 +10,10 @@ library against them, also on random invertible matrices drawn here.
 The exact minimum distance has its earlier kernel here too: blocks of
 message indices decoded digit by digit, with one table multiply and one
 table add per free row and message.
+
+The characteristic polynomial over GF(2) has its Samuelson-Berkowitz
+recurrence here, and the quadratic branch sampler its list of all q^2
+pairs (b, c).
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Sequence
 
+import random
+
 import numpy as np
 
 from surfcodes import codes as cd
 from surfcodes import f2, gf
-from surfcodes.towers import FrobeniusModule
+from surfcodes.towers import FrobeniusModule, NotEnoughFactors
 
 
 class TooLarge(RuntimeError):
@@ -218,3 +224,65 @@ def blocked_min_distance(code: cd.LinearCode,
             if best <= 1:
                 break
     return best
+
+
+def berkowitz_charpoly(rows: Sequence[int], n: int) -> list[int]:
+    """Characteristic polynomial over GF(2), coefficients ascending (length
+    n + 1, leading coefficient 1), by the division-free Samuelson-Berkowitz
+    recurrence on leading principal submatrices."""
+    if n == 0:
+        return [1]
+    # c holds coefficients highest-degree first
+    c = [1]
+    for r in range(1, n + 1):
+        a = (rows[r - 1] >> (r - 1)) & 1
+        # column pieces: R = row r-1 restricted to cols < r-1, C = col r-1 of rows < r-1
+        mask = (1 << (r - 1)) - 1
+        rvec = rows[r - 1] & mask
+        cvec = 0
+        for i in range(r - 1):
+            cvec |= ((rows[i] >> (r - 1)) & 1) << i
+        # toeplitz column: [1, a, R C, R M C, R M^2 C, ...]
+        col = [1, a]
+        v = cvec
+        sub = rows[: r - 1]
+        for _ in range(r - 1):
+            col.append(bin(rvec & v).count("1") & 1)
+            # v <- M_{r-1} v  (column vector: entry i = parity of row_i & v)
+            nv = 0
+            for i in range(r - 1):
+                nv |= (bin(sub[i] & mask & v).count("1") & 1) << i
+            v = nv
+        newc = [0] * (r + 1)
+        for i in range(r + 1):
+            s = 0
+            for j in range(len(c)):
+                k = i - j
+                if 0 <= k < len(col):
+                    s ^= col[k] & c[j]
+            newc[i] = s
+        c = newc
+    c.reverse()  # ascending
+    return c
+
+
+def listed_quadratic_poly(q: int, count: int, seed: int) -> gf.Polynomial:
+    """The quadratic branch sampler over the full list of irreducible
+    t^2 + b t + c, built from all q^2 pairs (b, c) in element order."""
+    field = gf.field_from_order(q)
+    rng = random.Random(seed)
+    available = (q * q - q) // 2
+    if count > available:
+        raise NotEnoughFactors(
+            f"only {available} monic irreducible quadratics exist, need {count}")
+    # t^2 + b t + c irreducible over odd F_q iff b^2 - 4c is a nonsquare
+    four = field.from_int(4)
+    irreducible = [(b, c) for b in field.elements() for c in field.elements()
+                   if gf.quadratic_character(
+                       field, field.sub(field.mul(b, b), field.mul(four, c))) == -1]
+    picks = sorted(rng.sample(range(len(irreducible)), count))
+    poly = gf.Polynomial.one(field)
+    for i in picks:
+        b, c = irreducible[i]
+        poly = poly * field.poly((c, b, 1))
+    return poly

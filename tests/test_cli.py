@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfcodes import cli
+from surfcodes import codes as cd
 from surfcodes import towers as tw
 
 _F3 = {"p": 3, "m": 1, "modulus": [0]}
@@ -87,6 +92,18 @@ class TestCodeCommands:
         assert payload["error"]["kind"] == "budget"
         assert "q = 8192 > 4096" in payload["error"]["message"]
 
+    def test_distance_over_row_table_budget_exit_3(self, capsys, tmp_path):
+        # one row's q multiples alone would need q * n > MAX_ROW_TABLE_CELLS
+        n = cd.MAX_ROW_TABLE_CELLS // 997 + 1
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({
+            "field": {"p": 997, "m": 1, "modulus": [0]}, "n": n, "k": 2,
+            "generator": [1] * n + [i % 997 for i in range(n)]}))
+        code, payload = run_json(capsys, "code", "distance", "--in", str(path))
+        assert code == 3
+        assert payload["error"]["kind"] == "budget"
+        assert "q * n" in payload["error"]["message"]
+
     def test_missing_file_exit_4(self, capsys, tmp_path):
         code, payload = run_json(capsys, "code", "distance", "--in",
                                  str(tmp_path / "nope.json"))
@@ -167,6 +184,14 @@ class TestBoundsCommand:
         assert code == 0
         assert payload["n"] == 6 and payload["exact"] is None
 
+    def test_exact_over_row_table_budget_is_null(self, capsys):
+        # n = 996004 points but only 998 messages: the table of one row's
+        # q multiples would take 1.85 GiB, so the report carries no exact
+        code, payload = run_json(capsys, "bounds", "--surface", "p1xp1",
+                                 "--q", "997", "--divisor", "1,0", "--exact")
+        assert code == 0
+        assert payload["n"] == 998 ** 2 and payload["exact"] is None
+
     def test_grid_affine_gamma(self, capsys):
         code, payload = run_json(capsys, "bounds", "--surface", "hirzebruch",
                                  "--e", "1", "--q", "3", "--divisor", "1,1",
@@ -220,10 +245,45 @@ class TestTowerCommands:
         assert payload["error"]["kind"] == "internal"
         assert "h1G" in payload["error"]["message"]
 
+    def test_check_large_q(self, capsys):
+        # the quadratic sampler indexes its picks instead of listing q^2 pairs
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "tower", "check", "--q", "65521",
+                                 "--g1", "2", "--g2", "2", "--rho", "1")
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert payload["q"] == 65521 and payload["h1G"] == 6
+
     def test_search_even_q_exit_2(self, capsys):
         code, _ = run_json(capsys, "tower", "search", "--q", "4",
                            "--g1", "2..3", "--g2", "2..3", "--rho", "1")
         assert code == 2
+
+
+_TOWER_Q = st.sampled_from((-3, 0, 1, 2, 3, 4, 5, 6, 9, 11, 25, 67))
+_GENUS = st.integers(-2, 40)
+_RHO = st.integers(-1, 3)
+
+
+def _span(values):
+    return st.tuples(values, st.integers(0, 2)).map(lambda t: f"{t[0]}..{t[0] + t[1]}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(action=st.sampled_from(("check", "search")), q=_TOWER_Q,
+       g1=_GENUS, g2=_GENUS, rho=_RHO,
+       spans=st.tuples(_span(_GENUS), _span(_GENUS), _span(_RHO)))
+def test_tower_arguments_end_in_json(action, q, g1, g2, rho, spans):
+    # every tower input ends in an answer or a structured error, never a
+    # traceback: exit 0, 2 (precondition) or 3 (budget), JSON on stdout.
+    # "--name=value" passes a negative range such as -1..0 as a value.
+    values = {"q": q, "g1": g1, "g2": g2, "rho": rho} if action == "check" else \
+        {"q": q, "g1": spans[0], "g2": spans[1], "rho": spans[2]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["tower", action, *(f"--{k}={v}" for k, v in values.items())])
+    assert code in (0, 2, 3)
+    json.loads(out.getvalue())
 
 
 class TestAsymCommands:

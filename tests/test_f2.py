@@ -2,6 +2,7 @@ import random
 
 import oracles
 from surfcodes import f2, gf
+from surfcodes import towers as tw
 
 
 def random_rows(rng, n):
@@ -135,3 +136,23 @@ class TestCharpoly:
             cp = f2.charpoly(rows, n)
             assert len(cp) == n + 1 and cp[-1] == 1
             assert f2.poly_eval_rows(cp, rows, n) == f2.zero_rows(n)
+
+    def test_hessenberg_matches_berkowitz(self):
+        # sparse, dense and permutation-module matrices for every n <= 24,
+        # one of the three in turn for 24 < n <= 70 (the oracle is O(n^4))
+        rng = random.Random(44)
+        for n in range(71):
+            sparse = [sum(1 << j for j in range(n) if rng.random() < 0.06)
+                      for _ in range(n)]
+            if n % 2 == 0 and n >= 2:
+                cycles, left = [], n + 2
+                while left:
+                    cycles.append(rng.randint(1, left))
+                    left -= cycles[-1]
+                perm = list(tw.module_from_cycle_type(cycles).rows)
+            else:
+                order = rng.sample(range(n), n)
+                perm = [1 << j for j in order]
+            kinds = (sparse, random_rows(rng, n), perm)
+            for rows in (kinds if n <= 24 else kinds[n % 3:n % 3 + 1]):
+                assert f2.charpoly(rows, n) == oracles.berkowitz_charpoly(rows, n)

@@ -112,6 +112,17 @@ class TestSampling:
         f = sample_branch_poly(7, 6, "linear", seed=1, leading_coeff=3)
         assert f.leading == 3
 
+    def test_quadratic_matches_listed_oracle(self):
+        # the indexed sampler picks exactly what the list of all q^2 pairs
+        # (b, c) gives, prime and prime-power q alike
+        rng = random.Random(17)
+        for q in (3, 5, 7, 9, 11, 25, 27, 49, 67):
+            for _ in range(10):
+                count = rng.randrange(1, min((q * q - q) // 2, 40) + 1)
+                seed = rng.randrange(10 ** 6)
+                assert sample_branch_poly(q, count, "quadratic", seed) == \
+                    oracles.listed_quadratic_poly(q, count, seed)
+
 
 class TestFrobeniusModules:
     def test_split_is_identity(self):
@@ -401,14 +412,18 @@ class TestCertificates:
         assert search_parameters(11, range(-1, 2), range(-1, 2), range(-1, 1)) == []
 
     def test_search_propagates_certificate_errors(self, monkeypatch):
-        real = tw.hyperelliptic_product_certificate
+        # a side error (here a g with a repeated root at g2 = 30, rejected by
+        # the real curve constructor) propagates out of the search
+        real = tw.sample_branch_poly
 
-        def certificate(q, g1, g2, rho, seed=1):
-            if (g1, g2) == (30, 30):
-                raise NotSquarefree("f has a repeated root")
-            return real(q, g1, g2, rho, seed)
+        def sample(q, count, kind, seed, leading_coeff=None):
+            if (kind, count) == ("quadratic", 31):
+                h = real(q, count - 1, kind, seed)
+                x = gf.Polynomial.x(h.field)
+                return h * x * x
+            return real(q, count, kind, seed, leading_coeff)
 
-        monkeypatch.setattr(tw, "hyperelliptic_product_certificate", certificate)
+        monkeypatch.setattr(tw, "sample_branch_poly", sample)
         with pytest.raises(NotSquarefree):
             search_parameters(67, range(29, 31), range(30, 31), range(1, 2))
 
@@ -434,3 +449,43 @@ class TestCertificates:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestSearchReuse:
+    @pytest.mark.parametrize("q, g1s, g2s, rhos", [
+        (13, range(-1, 8), range(-1, 6), range(0, 4)),
+        (67, (33, 30, 31), (29, 30, 31), (1, 2, 3)),
+    ], ids=["q13_infeasible_edges", "q67_passing"])
+    def test_search_equals_filtered_certificates(self, q, g1s, g2s, rhos):
+        want = []
+        for a, b, r in sorted((a, b, r) for a in g1s for b in g2s for r in rhos):
+            try:
+                cert = hyperelliptic_product_certificate(q, a, b, r, seed=5)
+            except ValueError:
+                continue
+            if cert.gs_pass:
+                want.append(cert.to_json_dict())
+        got = [c.to_json_dict() for c in search_parameters(q, g1s, g2s, rhos, seed=5)]
+        assert got == want
+        if q == 67:
+            assert (30, 30, 1) in {(c["g1"], c["g2"], c["rho"]) for c in got}
+
+    def test_each_side_once_per_genus(self, monkeypatch):
+        counts = {"frobenius": 0, "tensor": 0}
+        real_frobenius, real_tensor = tw.two_torsion_frobenius, tw.tensor_invariant_dim
+
+        def frobenius(curve):
+            counts["frobenius"] += 1
+            return real_frobenius(curve)
+
+        def tensor(mc, md):
+            counts["tensor"] += 1
+            return real_tensor(mc, md)
+
+        monkeypatch.setattr(tw, "two_torsion_frobenius", frobenius)
+        monkeypatch.setattr(tw, "tensor_invariant_dim", tensor)
+        # feasible genera: g1 in {29, 30} (33 needs 68 roots), g2 in {29, 30}
+        for calls in (1, 2):
+            search_parameters(67, (29, 30, 33), (29, 30), (1, 2, 3))
+            # nothing is kept between calls
+            assert counts == {"frobenius": 4 * calls, "tensor": 4 * calls}
