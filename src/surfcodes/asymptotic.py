@@ -43,10 +43,6 @@ class InvalidGenus(ValueError):
     pass
 
 
-def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class AsymptoticPoint:
     """A (kappa, chi) pair; finite parts are reduced fractions, infinity is
@@ -60,7 +56,7 @@ class AsymptoticPoint:
                 if v != INF:
                     raise ValueError(f"{name} must be a Fraction or +inf")
             elif not isinstance(v, Fraction):
-                object.__setattr__(self, name, _frac(v))
+                object.__setattr__(self, name, Fraction(v))
         if self.is_finite and self.kappa < 0:
             raise ValueError("kappa must be >= 0")
 
@@ -76,7 +72,7 @@ class CodePoint:
 
 
 def asym_point(kappa: RationalLike, chi: RationalLike) -> AsymptoticPoint:
-    return AsymptoticPoint(_frac(kappa), _frac(chi))
+    return AsymptoticPoint(Fraction(kappa), Fraction(chi))
 
 
 def phi_g(q: int, g: int, pt: AsymptoticPoint) -> CodePoint:
@@ -168,10 +164,6 @@ DIAGRAM_HEADER = ("kappa", "chi", "delta", "R",
                   "in_domain", "singleton_ok", "plotkin_ok")
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
-
-
 def emit_diagram(q: int, g: int, grid_n: int, path: str,
                  svg_path: Optional[str] = None) -> None:
     """CSV sampling of the rectangle [0, 2/(g(q+1))] x [0, 1/(g(q+1))] on a
@@ -200,7 +192,7 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
         cp = phi_g(q, g, pt)
         checks = code_bound_checks(q, cp)
         in_domain = member["kappa_lb_ok"] and member["chi_ub_ok"]
-        rows.append((_fmt(pt.kappa), _fmt(pt.chi), _fmt(cp.delta), _fmt(cp.r),
+        rows.append((str(pt.kappa), str(pt.chi), str(cp.delta), str(cp.r),
                      str(in_domain).lower(),
                      str(checks["singleton_ok"]).lower(),
                      str(checks["plotkin_ok"]).lower()))
@@ -245,11 +237,6 @@ def _write_svg(q: int, g: int, poly: dict, image_pts, svg_path: str) -> None:
     parts.append("</svg>")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def parse_rational(text: str) -> Fraction:
-    """num/den or integer string to Fraction."""
-    return Fraction(text.strip())
 
 
 def rational_to_json(x: Fraction) -> str:

@@ -190,10 +190,10 @@ def _default_very_ample(surface: sf.SurfaceModel) -> Optional[sf.DivisorClass]:
     return None
 
 
-def _find_ample_h(surface: sf.SurfaceModel, g: sf.DivisorClass,
-                  box: int = 10) -> Optional[sf.DivisorClass]:
-    # heuristic coordinate-box scan, sufficient for the catalog
-    k = surface.canonical
+def _find_ample_h(surface: sf.SurfaceModel,
+                  g: sf.DivisorClass) -> Optional[sf.DivisorClass]:
+    # heuristic scan of a fixed coordinate box, sufficient for the catalog
+    k, box = surface.canonical, 10
     if surface.ns_rank == 1:
         candidates = [surface.divisor(a) for a in range(1, box + 1)]
     else:
@@ -208,8 +208,6 @@ def _find_ample_h(surface: sf.SurfaceModel, g: sf.DivisorClass,
 
 def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
                      gamma: str = "universal",
-                     gamma_class: Optional[sf.DivisorClass] = None,
-                     gamma_l: Optional[sf.DivisorClass] = None,
                      tag: str = "all",
                      grid: Optional[tuple[Sequence[int], Sequence[int]]] = None,
                      exact_budget: Optional[int] = None,
@@ -220,9 +218,11 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
 
     Inapplicable bounds are reported with reasons, never raised.  gamma is
     "universal" ((q+1)L) or "universal-affine" (qL, caller asserting the
-    point set avoids a member of |L|); gamma_class overrides both.  Seshadri
-    data (epsilon, xi) is caller-supplied.  With exact_budget set, the code
-    is built and its exact (k, d) attached when the enumeration fits.
+    point set avoids a member of |L|), with L the catalog's very ample class
+    for the surface.  Seshadri data (epsilon, xi) is caller-supplied.  With
+    exact_budget set, the exact (k, d) is attached when the code fits every
+    budget; the operation-table budget is checked before the code is built,
+    and any budget refusal leaves exact as None.
     """
     if tag == "grid":
         pts = cd.rational_points(surface, q, "grid", grid)
@@ -235,25 +235,21 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
 
     # interpolating bound
     gamma_div = None
-    if gamma_class is not None:
-        gamma_div = gamma_class
-        gamma_reason = f"caller-supplied Gamma = {gamma_div.coords}"
+    l = _default_very_ample(surface)
+    if l is None:
+        report.entries.append(BoundEntry(
+            "interpolating", None, False,
+            "no very ample class known in the catalog for this surface"))
     else:
-        l = gamma_l if gamma_l is not None else _default_very_ample(surface)
-        if l is None:
-            report.entries.append(BoundEntry(
-                "interpolating", None, False,
-                "no very ample class known in the catalog for this surface"))
-        else:
-            try:
-                affine = gamma == "universal-affine"
-                gamma_div = universal_gamma(surface, l, q, affine)
-                gamma_reason = (f"Gamma = {'q' if affine else '(q+1)'}L with "
-                                f"L = {l.coords}"
-                                + ("; caller asserts the point set avoids a "
-                                   "member of |L|" if affine else ""))
-            except NotVeryAmple as exc:
-                report.entries.append(BoundEntry("interpolating", None, False, str(exc)))
+        try:
+            affine = gamma == "universal-affine"
+            gamma_div = universal_gamma(surface, l, q, affine)
+            gamma_reason = (f"Gamma = {'q' if affine else '(q+1)'}L with "
+                            f"L = {l.coords}"
+                            + ("; caller asserts the point set avoids a "
+                               "member of |L|" if affine else ""))
+        except NotVeryAmple as exc:
+            report.entries.append(BoundEntry("interpolating", None, False, str(exc)))
     if gamma_div is not None:
         gdotg = sf.intersect(gamma_div, g)
         screen = gamma_square_check(gamma_div, n)
@@ -312,6 +308,8 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
     # exact parameters
     if exact_budget and surface.kind in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
         try:
+            cd.section_count(surface, g)    # an empty system stays an error
+            cd.check_table_budget(q, n)
             code = cd.build_code(surface, g, q, tag, grid)
             d_exact = cd.exact_min_distance(code, exact_budget)
             report.exact = {"k": code.k, "d": d_exact}

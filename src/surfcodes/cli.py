@@ -3,8 +3,8 @@ stdout (or --out), deterministic seeds, and budget guards.
 
 Exit codes: 0 success, 1 internal error (a failed invariant or closed-form
 cross-check, i.e. a bug), 2 precondition violation, 3 budget exceeded, 4 I/O
-error.  On failure a structured {"error": {...}} JSON is printed and the
-process exits nonzero.
+error.  On failure, usage errors included, a structured {"error": {...}}
+JSON is printed and the process exits nonzero.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.kind = kind
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in the same JSON as every other failure."""
+
+    def error(self, message):
+        raise CliError(EXIT_PRECONDITION, "parse", f"{self.prog}: {message}")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -83,11 +90,8 @@ def _grid_from_args(args, q: int):
 def _emit(args, payload, text: Optional[str] = None) -> int:
     body = text if text is not None else json.dumps(payload, indent=2) + "\n"
     if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        except OSError as exc:
-            raise CliError(EXIT_IO, "io", str(exc))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(body)
     else:
         sys.stdout.write(body)
     return EXIT_OK
@@ -106,10 +110,7 @@ def cmd_code_build(args) -> int:
 
 
 def cmd_code_distance(args) -> int:
-    try:
-        code = cd.load_code(args.infile)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", str(exc))
+    code = cd.load_code(args.infile)
     d = cd.exact_min_distance(code, args.budget)
     payload = code.to_json_dict()
     payload["d"] = d
@@ -162,7 +163,7 @@ def _asym_point_json(pt: asym.AsymptoticPoint) -> dict:
 
 def cmd_asym_map(args) -> int:
     kappa_s, chi_s = args.point.split(",")
-    pt = asym.asym_point(asym.parse_rational(kappa_s), asym.parse_rational(chi_s))
+    pt = asym.asym_point(kappa_s, chi_s)
     cp = asym.phi_g(args.q, args.g, pt)
     payload = _code_point_json(cp)
     payload.update({f"in_domain_{k}": v
@@ -181,12 +182,7 @@ def cmd_asym_polygon(args) -> int:
 
 
 def cmd_asym_diagram(args) -> int:
-    if not args.out:
-        raise CliError(EXIT_PRECONDITION, "args", "--out is required for diagram")
-    try:
-        asym.emit_diagram(args.q, args.g, args.grid, args.out, args.svg)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", str(exc))
+    asym.emit_diagram(args.q, args.g, args.grid, args.out, args.svg)
     sys.stdout.write(json.dumps({"written": args.out, "svg": args.svg}) + "\n")
     return EXIT_OK
 
@@ -194,7 +190,7 @@ def cmd_asym_diagram(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="surfcodes",
         description="evaluation codes on algebraic surfaces: build codes, "
                     "compare distance bounds, certify class-field towers, "
@@ -289,13 +285,11 @@ def _error_json(kind: str, message: str) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:                     # --help
+        return int(exc.code or 0)
     except CliError as exc:
         sys.stdout.write(_error_json(exc.kind, str(exc)))
         return exc.code

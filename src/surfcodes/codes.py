@@ -7,7 +7,8 @@ Each head codeword is compared with one table of all combinations of the
 last generator rows, one comparison per message, in arrays of at most
 MAX_KERNEL_CELLS entries or the q multiples of one row, if more; a code
 whose one-row table (q * n entries) exceeds MAX_ROW_TABLE_CELLS is refused
-as over budget.
+as over budget, and so is one whose generator would hold more than
+MAX_CODE_CELLS section values, before its basis is listed.
 
 Canonical point representatives
 -------------------------------
@@ -39,6 +40,7 @@ DEFAULT_DISTANCE_BUDGET = 10_000_000
 MAX_POINTS = 10 ** 6
 MAX_KERNEL_CELLS = 1 << 20
 MAX_ROW_TABLE_CELLS = 1 << 25
+MAX_CODE_CELLS = 10 ** 7
 
 
 class UnsupportedSubset(ValueError):
@@ -59,8 +61,6 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PointList:
-    kind: str
-    q: int
     tag: str                       # "all" | "grid"
     points: tuple[tuple[int, ...], ...]
     grid: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
@@ -104,7 +104,7 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
             if not 0 <= c < q:
                 raise UnsupportedSubset(f"grid entry {c} is not an element of F_{q}")
         pts = [(x, y) for x in a for y in b]
-        return PointList(surface.kind, q, "grid", tuple(pts), (a, b))
+        return PointList("grid", tuple(pts), (a, b))
     if surface.kind == sf.P2:
         pts = [(1, y, z) for y in field.elements() for z in field.elements()]
         pts += [(0, 1, z) for z in field.elements()]
@@ -113,7 +113,7 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
         reps = _p1_reps(field)
         pts = [a + b for a in reps for b in reps]
     pts.sort()
-    return PointList(surface.kind, q, "all", tuple(pts))
+    return PointList("all", tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +122,33 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    kind: str
-    divisor: tuple[int, ...]
     exponents: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.exponents)
+
+
+def section_count(surface: sf.SurfaceModel, g: sf.DivisorClass) -> int:
+    """len(section_basis(surface, g)) in closed form, raising the same errors
+    without listing a monomial."""
+    if surface.kind == sf.P2:
+        (d,) = g.coords
+        count = (d + 1) * (d + 2) // 2 if d >= 0 else 0
+    elif surface.kind == sf.P1XP1:
+        a, b = g.coords
+        count = (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
+    elif surface.kind == sf.HIRZEBRUCH:
+        (e,) = surface.params
+        u, v = g.coords
+        # de = 0..m, the de with u - e*de >= 0, each give u - e*de + 1
+        m = min(v, u // e) if e else v
+        count = (m + 1) * (u + 1) - e * m * (m + 1) // 2 if u >= 0 and v >= 0 else 0
+    else:
+        raise sf.UnsupportedSurface(
+            f"{surface.kind} has no section basis (bounds only)")
+    if not count:
+        raise EmptySystem(f"no sections for divisor {g.coords} on {surface.kind}")
+    return count
 
 
 def section_basis(surface: sf.SurfaceModel, g: sf.DivisorClass) -> MonomialBasis:
@@ -138,31 +159,20 @@ def section_basis(surface: sf.SurfaceModel, g: sf.DivisorClass) -> MonomialBasis
     P1xP1, (a, b):       (i0, i1, j0, j1), i0 + i1 = a, j0 + j1 = b
     Hirzebruch(e),(u,v): (al, be, ga, de), ga + de = v, al + be = u - e*de >= 0
     """
-    exps: list[tuple[int, ...]] = []
+    section_count(surface, g)       # an unsupported surface or no sections raise
     if surface.kind == sf.P2:
         (d,) = g.coords
-        exps = [(i, j, d - i - j)
-                for i in range(d + 1) for j in range(d - i + 1)] if d >= 0 else []
+        exps = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
     elif surface.kind == sf.P1XP1:
         a, b = g.coords
-        if a >= 0 and b >= 0:
-            exps = [(i, a - i, j, b - j)
-                    for i in range(a + 1) for j in range(b + 1)]
-    elif surface.kind == sf.HIRZEBRUCH:
+        exps = [(i, a - i, j, b - j) for i in range(a + 1) for j in range(b + 1)]
+    else:
         (e,) = surface.params
         u, v = g.coords
-        if v >= 0:
-            for de in range(v + 1):
-                rest = u - e * de
-                for al in range(rest + 1):
-                    exps.append((al, rest - al, v - de, de))
-    else:
-        raise sf.UnsupportedSurface(
-            f"{surface.kind} has no section basis (bounds only)")
-    if not exps:
-        raise EmptySystem(f"no sections for divisor {g.coords} on {surface.kind}")
+        exps = [(al, u - e * de - al, v - de, de)
+                for de in range(v + 1) for al in range(u - e * de + 1)]
     exps.sort()
-    return MonomialBasis(surface.kind, g.coords, tuple(exps))
+    return MonomialBasis(tuple(exps))
 
 
 def _eval_monomial(field: gf.FieldSpec, exp: tuple[int, ...],
@@ -309,11 +319,17 @@ def build_code(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int,
                ) -> LinearCode:
     """Generator matrix of the evaluation code: rows are basis monomials,
     columns are canonical points; rows are then reduced to a basis (k = rank)
-    while the full monomial count stays available as metadata."""
-    basis = section_basis(surface, g)
+    while the full monomial count stays available as metadata.  More than
+    MAX_CODE_CELLS section values (sections times points) raise
+    BudgetExceeded before the basis is listed or any value computed."""
+    sections = section_count(surface, g)
     pts = rational_points(surface, q, tag, grid)
     if not pts.points:
         raise EmptySystem("empty evaluation set")
+    if sections * len(pts.points) > MAX_CODE_CELLS:
+        raise BudgetExceeded(f"{sections} sections at {len(pts.points)} points "
+                             f"exceed {MAX_CODE_CELLS} generator entries")
+    basis = section_basis(surface, g)
     field = gf.field_from_order(q)
     # A grid pair (t, x) is the chart point (t, 1, x, 1): chart t1 = x1 = 1 on
     # Hirzebruch, s1 = t1 = 1 on the quadric.
@@ -350,6 +366,19 @@ def _span_table(add_t, mul_t, rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def check_table_budget(q: int, n: int) -> None:
+    """Raise BudgetExceeded unless the distance search can build its tables
+    for a length-n code over F_q: fields above gf.MAX_TABLE_ORDER have no
+    operation tables, and one row's q multiples take q * n entries, at most
+    MAX_ROW_TABLE_CELLS."""
+    if q > gf.MAX_TABLE_ORDER:
+        raise BudgetExceeded(f"operation tables not built for q = {q} > "
+                             f"{gf.MAX_TABLE_ORDER}")
+    if q * n > MAX_ROW_TABLE_CELLS:
+        raise BudgetExceeded(f"a span table of q * n = {q * n} entries exceeds "
+                             f"{MAX_ROW_TABLE_CELLS}")
+
+
 def exact_min_distance(code: LinearCode,
                        budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
     """Exact minimum Hamming weight over nonzero codewords.
@@ -363,10 +392,8 @@ def exact_min_distance(code: LinearCode,
     entries; with x over the span of the first q^min(s, k-1-i) rows of L,
     the h - x are the codewords with head h, and wt(h - x) counts the
     positions where x != h: one comparison per message.  The search stops
-    at the first codeword of weight <= 1.  Fields above gf.MAX_TABLE_ORDER
-    have no operation tables, and a table of one row's q multiples would
-    exceed MAX_ROW_TABLE_CELLS when q * n does: both raise BudgetExceeded
-    before any table is built.
+    at the first codeword of weight <= 1.  check_table_budget refuses a
+    code whose tables would be over budget before any table is built.
     """
     if code.k == 0:
         raise EmptySystem("zero code has no minimum distance")
@@ -375,12 +402,7 @@ def exact_min_distance(code: LinearCode,
     if total > budget:
         raise BudgetExceeded(
             f"enumeration needs {total} messages, budget is {budget}")
-    if q > gf.MAX_TABLE_ORDER:
-        raise BudgetExceeded(f"operation tables not built for q = {q} > "
-                             f"{gf.MAX_TABLE_ORDER}")
-    if q * n > MAX_ROW_TABLE_CELLS:
-        raise BudgetExceeded(f"a span table of q * n = {q * n} entries exceeds "
-                             f"{MAX_ROW_TABLE_CELLS}")
+    check_table_budget(q, n)
     add_t, mul_t = code.field.numpy_tables()
     gen = np.array(code.generator, dtype=np.uint16)
     s = 1

@@ -635,15 +635,17 @@ def _equal_degree(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def poly_factor(f: Polynomial, seed: int = FACTOR_SEED) -> list[tuple[Polynomial, int]]:
+def poly_factor(f: Polynomial) -> list[tuple[Polynomial, int]]:
     """Full factorization into monic irreducibles with multiplicities.
 
     The product of the factors (times the leading unit of f) reproduces f.
     Output order is canonical: by degree, then by base-q coefficient encoding.
+    The equal-degree splitting draws from a Random seeded with FACTOR_SEED,
+    so the work is reproducible as well as the output.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(FACTOR_SEED)
     fm = f.monic()
     out: list[tuple[Polynomial, int]] = []
     for g, mult in _squarefree_decomposition(fm):

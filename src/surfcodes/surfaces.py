@@ -26,8 +26,6 @@ P1XP1 = "P1xP1"
 HIRZEBRUCH = "Hirzebruch"
 CURVE_PRODUCT = "CurveProduct"
 
-KINDS = (P2, P1XP1, HIRZEBRUCH, CURVE_PRODUCT)
-
 
 class InvalidParams(ValueError):
     pass

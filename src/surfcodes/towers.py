@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import f2
 from . import gf
@@ -67,10 +67,6 @@ class HyperellipticCurve:
     def genus(self) -> int:
         return (self.f.degree - 2) // 2
 
-    @property
-    def monic(self) -> bool:
-        return self.f.leading == 1
-
 
 def hyperelliptic_point_count(curve: HyperellipticCurve) -> int:
     """Number of rational points of the smooth model: the affine fiber over t
@@ -96,11 +92,10 @@ def naive_point_count(curve: HyperellipticCurve) -> int:
     return total
 
 
-def sample_branch_poly(q: int, count: int, kind: str, seed: int,
-                       leading_coeff: Optional[int] = None) -> gf.Polynomial:
-    """Monic product of `count` distinct linear or irreducible quadratic
-    factors over F_q, chosen by seeded deterministic sampling.  An optional
-    leading_coeff rescales the product (for quadratic-twist experiments)."""
+def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomial:
+    """Monic product of `count` distinct linear ("linear") or irreducible
+    quadratic ("quadratic") factors over odd F_q, chosen by sampling from a
+    Random seeded with `seed`, so equal arguments give equal polynomials."""
     field = gf.field_from_order(q)
     if field.q % 2 == 0:
         raise gf.EvenCharacteristic("branch polynomials need odd q")
@@ -131,10 +126,6 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int,
                 poly = poly * field.poly((cs[i % half], b, 1))
     else:
         raise ValueError(f"unknown factor kind {kind!r}")
-    if leading_coeff is not None:
-        if leading_coeff == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        poly = poly.scale(leading_coeff)
     return poly
 
 
@@ -147,7 +138,6 @@ class FrobeniusModule:
     """Frobenius action on Jac[2] as a 2g x 2g bitmask-row matrix over F_2."""
     g: int
     rows: tuple[int, ...]
-    provenance: tuple[int, ...]      # factor-degree multiset of f, sorted
 
     @property
     def dim(self) -> int:
@@ -192,22 +182,19 @@ def two_torsion_frobenius(curve: HyperellipticCurve) -> FrobeniusModule:
     the factor-degree multiset, read off the distinct-degree split of f (f is
     squarefree by construction of the curve); the induced action on the root
     module is returned in the fixed difference basis."""
-    degrees = [d for d, h in gf.distinct_degree(curve.f.monic())
-               for _ in range(h.degree // d)]      # ascending: canonical factor order
-    rows = _module_from_cycle_type(degrees)
-    return FrobeniusModule(g=curve.genus, rows=tuple(rows),
-                           provenance=tuple(sorted(degrees)))
+    return module_from_cycle_type(
+        [d for d, h in gf.distinct_degree(curve.f.monic())
+         for _ in range(h.degree // d)])           # ascending: canonical factor order
 
 
 def module_from_cycle_type(cycles: Sequence[int]) -> FrobeniusModule:
-    """Synthetic module for a given Frobenius cycle type on the roots
-    (sum(cycles) = 2g + 2); useful for randomized cross-checks."""
+    """The 2-torsion module of a Frobenius with the given cycle type on the
+    roots (sum(cycles) = 2g + 2), in the fixed difference basis."""
     n = sum(cycles)
     if n % 2 != 0 or n < 4:
         raise OddDegree(f"cycle lengths must sum to an even number >= 4, got {n}")
     rows = _module_from_cycle_type(list(cycles))
-    return FrobeniusModule(g=(n - 2) // 2, rows=tuple(rows),
-                           provenance=tuple(sorted(cycles)))
+    return FrobeniusModule(g=(n - 2) // 2, rows=tuple(rows))
 
 
 def fixed_space_dim(module: FrobeniusModule) -> int:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -105,9 +106,21 @@ class TestCodeCommands:
         assert "q * n" in payload["error"]["message"]
 
     def test_missing_file_exit_4(self, capsys, tmp_path):
-        code, payload = run_json(capsys, "code", "distance", "--in",
-                                 str(tmp_path / "nope.json"))
-        assert code == 4
+        # a file that cannot be read or written is exit 4 on every verb
+        missing = str(tmp_path / "no" / "such.out")
+        cases = [
+            ("code", "distance", "--in", str(tmp_path / "nope.json")),
+            ("code", "build", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1",
+             "--out", missing),
+            ("asym", "diagram", "--q", "2", "--g", "2", "--out", missing),
+            ("asym", "diagram", "--q", "2", "--g", "2",
+             "--out", str(tmp_path / "d.csv"), "--svg", missing),
+        ]
+        for argv in cases:
+            code, payload = run_json(capsys, *argv)
+            assert code == 4
+            assert payload["error"]["kind"] == "io"
+            assert "No such file or directory" in payload["error"]["message"]
 
     def test_byte_identical_reruns(self, capsys):
         argv = ("code", "build", "--surface", "hirzebruch", "--e", "2",
@@ -146,6 +159,44 @@ def test_size_budget_exit_3(capsys, tmp_path, monkeypatch, argv):
     assert code == 3
     assert payload["error"]["kind"] == "budget"
     assert not any(tmp_path.iterdir())
+
+
+def test_section_budget_exit_3(capsys):
+    # 5 * 10^9 sections at 7 points: refused from the closed-form count,
+    # before any monomial is listed
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, payload = run_json(capsys, "code", "build", "--surface", "p2",
+                                 "--q", "2", "--divisor", "100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 1 << 20
+    assert code == 3
+    assert payload["error"]["kind"] == "budget"
+    assert "sections" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["tower", "check", "--q", "67"],
+    ["tower", "check", "--q", "x", "--g1", "3", "--g2", "3", "--rho", "1"],
+    ["code", "build", "--surface", "p2", "--q", "3", "--divisor", "1",
+     "--points", "bad"],
+    ["asym", "map", "--q", "2", "--g", "2", "--point", "1/9,0", "--bogus"],
+], ids=["empty", "missing_required", "bad_int", "bad_choice", "unknown_flag"])
+def test_usage_errors_end_in_json(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"]["kind"] == "parse"
+    assert payload["error"]["message"].startswith("surfcodes")
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["tower", "search", "--help"]) == 0
+    assert "--rho" in capsys.readouterr().out
 
 
 class TestBoundsCommand:
@@ -192,6 +243,17 @@ class TestBoundsCommand:
         assert code == 0
         assert payload["n"] == 998 ** 2 and payload["exact"] is None
 
+    def test_exact_over_table_budget_skips_build(self, capsys, monkeypatch):
+        # the table refusal comes before the 996004 points are evaluated
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_code called")
+
+        monkeypatch.setattr(cd, "build_code", no_build)
+        code, payload = run_json(capsys, "bounds", "--surface", "p1xp1",
+                                 "--q", "997", "--divisor", "1,0", "--exact")
+        assert code == 0
+        assert payload["exact"] is None
+
     def test_grid_affine_gamma(self, capsys):
         code, payload = run_json(capsys, "bounds", "--surface", "hirzebruch",
                                  "--e", "1", "--q", "3", "--divisor", "1,1",
@@ -199,6 +261,23 @@ class TestBoundsCommand:
                                  "universal-affine", "--exact")
         assert code == 0
         assert payload["n"] == 9
+
+    def test_affine_gamma_report(self, capsys):
+        code, payload = run_json(capsys, "bounds", "--surface", "p1xp1",
+                                 "--q", "3", "--divisor", "1,1", "--points", "grid",
+                                 "--gamma", "universal-affine", "--exact")
+        assert code == 0
+        assert payload == {
+            "n": 9, "k_lower": 4, "entries": [
+                {"name": "interpolating", "value": 3, "applicable": True,
+                 "reason": "Gamma = qL with L = (1, 1); caller asserts the point "
+                           "set avoids a member of |L|; Gamma.G = 6; "
+                           "Gamma^2 = 18 >= n is True"},
+                {"name": "aubry", "value": 1, "applicable": True,
+                 "reason": "G = (1, 1) is very ample"},
+                {"name": "grid", "value": 3, "applicable": True,
+                 "reason": "3x3 grid on the quadric"}],
+            "exact": {"k": 4, "d": 4}, "defect": 1}
 
 
 class TestTowerCommands:
@@ -272,16 +351,21 @@ def _span(values):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(action=st.sampled_from(("check", "search")), q=_TOWER_Q,
        g1=_GENUS, g2=_GENUS, rho=_RHO,
-       spans=st.tuples(_span(_GENUS), _span(_GENUS), _span(_RHO)))
-def test_tower_arguments_end_in_json(action, q, g1, g2, rho, spans):
+       spans=st.tuples(_span(_GENUS), _span(_GENUS), _span(_RHO)),
+       joined=st.booleans())
+def test_tower_arguments_end_in_json(action, q, g1, g2, rho, spans, joined):
     # every tower input ends in an answer or a structured error, never a
-    # traceback: exit 0, 2 (precondition) or 3 (budget), JSON on stdout.
-    # "--name=value" passes a negative range such as -1..0 as a value.
+    # traceback: exit 0, 2 (precondition or usage) or 3 (budget), JSON on
+    # stdout.  "--name value" with a negative value such as -1..0 is a
+    # usage error; "--name=value" passes it to the program.
     values = {"q": q, "g1": g1, "g2": g2, "rho": rho} if action == "check" else \
         {"q": q, "g1": spans[0], "g2": spans[1], "rho": spans[2]}
+    argv = ["tower", action]
+    for k, v in values.items():
+        argv += [f"--{k}={v}"] if joined else [f"--{k}", str(v)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["tower", action, *(f"--{k}={v}" for k, v in values.items())])
+        code = cli.main(argv)
     assert code in (0, 2, 3)
     json.loads(out.getvalue())
 

@@ -9,7 +9,7 @@ from surfcodes import surfaces as sf
 from surfcodes.codes import (BudgetExceeded, EmptySystem, UnsupportedSubset,
                              build_code, code_from_json_dict, enumeration_size,
                              exact_min_distance, rational_locus_check,
-                             rational_points, section_basis)
+                             rational_points, section_basis, section_count)
 from oracles import blocked_min_distance
 
 SWEEP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
@@ -118,6 +118,35 @@ class TestSectionBasis:
         s = sf.projective_plane()
         with pytest.raises(EmptySystem):
             section_basis(s, s.divisor(-1))
+
+    def test_count_matches_brute_force(self):
+        # the closed form against a count of exponent tuples in a box; a
+        # zero count is EmptySystem for the count and the listing alike
+        box = range(16)
+
+        def brute(s, coords):
+            if s.kind == sf.P2:
+                return sum(1 for i in box for j in box if i + j <= coords[0])
+            if s.kind == sf.P1XP1:
+                return sum(1 for i in box for j in box
+                           if i <= coords[0] and j <= coords[1])
+            (e,), (u, v) = s.params, coords
+            return sum(1 for de in box for al in box if de <= v and al <= u - e * de)
+
+        cases = [(sf.projective_plane(), (d,)) for d in range(-2, 12)]
+        cases += [(sf.quadric_p1xp1(), (a, b))
+                  for a in range(-2, 8) for b in range(-2, 8)]
+        cases += [(sf.hirzebruch(e), (u, v)) for e in range(4)
+                  for u in range(-3, 14) for v in range(-2, 7)]
+        for s, coords in cases:
+            g, expected = s.divisor(*coords), brute(s, coords)
+            if expected == 0:
+                with pytest.raises(EmptySystem):
+                    section_count(s, g)
+                with pytest.raises(EmptySystem):
+                    section_basis(s, g)
+            else:
+                assert section_count(s, g) == len(section_basis(s, g)) == expected
 
 
 class TestBuildCode:

@@ -32,7 +32,7 @@ class TestPointCounts:
         F7 = gf.make_field(7, 1)
         f = gf.Polynomial.from_roots(F7, [0, 1, 2, 3, 4, 5])
         curve = HyperellipticCurve(F7, f)
-        assert curve.genus == 2 and curve.monic
+        assert curve.genus == 2 and curve.f.leading == 1
         assert naive_point_count(curve) == 8
         assert hyperelliptic_point_count(curve) == 8
 
@@ -108,10 +108,6 @@ class TestSampling:
         assert sample_branch_poly(67, 31, "quadratic", 9) == \
             sample_branch_poly(67, 31, "quadratic", 9)
 
-    def test_leading_coeff_flag(self):
-        f = sample_branch_poly(7, 6, "linear", seed=1, leading_coeff=3)
-        assert f.leading == 3
-
     def test_quadratic_matches_listed_oracle(self):
         # the indexed sampler picks exactly what the list of all q^2 pairs
         # (b, c) gives, prime and prime-power q alike
@@ -178,7 +174,6 @@ class TestFrobeniusModules:
             if len(gf.poly_factor(f)) == 1:
                 break
         m = two_torsion_frobenius(HyperellipticCurve(field, f))
-        assert m.provenance == (6,)
         assert list(m.rows) == list(module_from_cycle_type([6]).rows)
 
     @pytest.mark.parametrize("q", [7, 9, 11])
@@ -191,7 +186,6 @@ class TestFrobeniusModules:
             f = squarefree_poly(field, rng.choice((6, 8, 10, 12)), rng)
             degrees = [p.degree for p, _ in gf.poly_factor(f)]
             m = two_torsion_frobenius(HyperellipticCurve(field, f))
-            assert m.provenance == tuple(degrees)
             assert m.rows == module_from_cycle_type(degrees).rows
 
 
@@ -219,7 +213,7 @@ class TestEigenData:
         assert tw.tensor_invariant_dim(i2, i2) == 4
 
     def test_unipotent_pair_exceeds_eigen_formula(self):
-        uni = tw.FrobeniusModule(g=1, rows=(0b11, 0b10), provenance=(2,))
+        uni = tw.FrobeniusModule(g=1, rows=(0b11, 0b10))
         assert not oracles.is_semisimple(uni)
         assert tw.tensor_invariant_dim(uni, uni) == 2
         assert eigen_pairing_dim(uni, uni) == 1
@@ -227,8 +221,7 @@ class TestEigenData:
     def test_too_large(self):
         # the Kronecker oracle refuses sides above 64 dimensions; the
         # elementary-divisor path answers (I_66 (x) I_66 fixes everything)
-        big = tw.FrobeniusModule(g=33, rows=tuple(f2.identity_rows(66)),
-                                 provenance=(1,) * 68)
+        big = tw.FrobeniusModule(g=33, rows=tuple(f2.identity_rows(66)))
         with pytest.raises(oracles.TooLarge):
             oracles.kron_invariant_dim(big, big)
         assert tw.tensor_invariant_dim(big, big) == 66 * 66
@@ -416,12 +409,12 @@ class TestCertificates:
         # the real curve constructor) propagates out of the search
         real = tw.sample_branch_poly
 
-        def sample(q, count, kind, seed, leading_coeff=None):
+        def sample(q, count, kind, seed):
             if (kind, count) == ("quadratic", 31):
                 h = real(q, count - 1, kind, seed)
                 x = gf.Polynomial.x(h.field)
                 return h * x * x
-            return real(q, count, kind, seed, leading_coeff)
+            return real(q, count, kind, seed)
 
         monkeypatch.setattr(tw, "sample_branch_poly", sample)
         with pytest.raises(NotSquarefree):
