@@ -82,8 +82,8 @@ def _surface_from_args(args) -> sf.SurfaceModel:
 def _grid_from_args(args, q: int):
     if args.points != "grid":
         return None
-    a = _parse_ints(args.grid_a) if args.grid_a else tuple(range(q))
-    b = _parse_ints(args.grid_b) if args.grid_b else tuple(range(q))
+    a = _parse_ints(args.grid_a) if args.grid_a else range(q)
+    b = _parse_ints(args.grid_b) if args.grid_b else range(q)
     return (a, b)
 
 

@@ -31,8 +31,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import gf
 from . import surfaces as sf
 
@@ -91,8 +89,9 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
             raise UnsupportedSubset(f"grid points are not defined on {surface.kind}")
         if grid is None:
             grid = (range(q), range(q))
-        a, b = (tuple(sorted(set(int(x) for x in grid[0]))),
-                tuple(sorted(set(int(x) for x in grid[1]))))
+        # an ascending range is already sorted and distinct: count it unlisted
+        a, b = (s if isinstance(s, range) and s.step > 0
+                else tuple(sorted(set(int(x) for x in s))) for s in grid)
         n = len(a) * len(b)
     else:
         raise UnsupportedSubset(f"unknown point tag {tag!r}")
@@ -100,6 +99,7 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
         raise BudgetExceeded(f"{n} evaluation points exceed {MAX_POINTS}")
     field = gf.field_from_order(q)
     if tag == "grid":
+        a, b = tuple(a), tuple(b)
         for c in a + b:
             if not 0 <= c < q:
                 raise UnsupportedSubset(f"grid entry {c} is not an element of F_{q}")
@@ -353,11 +353,13 @@ def enumeration_size(q: int, k: int) -> int:
     return (q ** k - 1) // (q - 1)
 
 
-def _span_table(add_t, mul_t, rows: np.ndarray) -> np.ndarray:
-    """All q^s combinations of the s given rows, built in s broadcast steps.
+def _span_table(add_t, mul_t, rows):
+    """All q^s combinations of the s given rows (a numpy array), built in s
+    broadcast steps.
 
     Entry sum_u c_u q^u is sum_u c_u rows[s-1-u], so the first q^t entries
     are the span of the last t rows."""
+    import numpy as np
     table = np.zeros((1, rows.shape[1]), dtype=np.uint16)
     for row in rows[::-1]:
         scaled = mul_t[:, row]                            # c * row, c in F_q
@@ -403,6 +405,7 @@ def exact_min_distance(code: LinearCode,
         raise BudgetExceeded(
             f"enumeration needs {total} messages, budget is {budget}")
     check_table_budget(q, n)
+    import numpy as np
     add_t, mul_t = code.field.numpy_tables()
     gen = np.array(code.generator, dtype=np.uint16)
     s = 1

@@ -14,14 +14,22 @@ yields the modulus x.  The modulus search, the table bootstrap and the subfield
 embeddings all use the one Polynomial arithmetic of this module over F_p:
 candidates are tested for irreducibility by distinct-degree factorization.
 
-Multiplication and division go through exponential/logarithm tables built once
-per field from a fixed multiplicative generator (the smallest index of maximal
-order); addition is digit-wise base-p (a plain XOR in characteristic two).
+Element multiplication and division go through exponential/logarithm tables
+built once per field from a fixed multiplicative generator (the smallest index
+of maximal order); addition is digit-wise base-p (a plain XOR in characteristic
+two).  Polynomials over a prime field (m = 1, where an element's index is its
+value) are multiplied, divided and evaluated on plain ints instead: products
+by Kronecker substitution (one big-int product of the packed operands),
+quotients by schoolbook division reduced mod p once per coefficient, and the
+fixed-modulus powers of poly_pow_mod by Barrett reduction.  Over F_{p^m},
+m > 1, polynomial arithmetic loops over the element operations.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -330,6 +338,48 @@ def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Coefficient lists over a prime field (index equals value)
+# ---------------------------------------------------------------------------
+
+def _kron(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Product of coefficient lists over F_p by Kronecker substitution.
+
+    Each operand is packed into one int, coefficient i in slot i; a slot
+    of the product sums at most min(len) terms below p^2, so slots of the
+    smallest machine width that holds that bound never carry.  Since
+    (p-1)^2 < 2^32, 64-bit slots hold any list that fits in memory."""
+    if not a or not b:
+        return []
+    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    code = "B" if bits <= 8 else "H" if bits <= 16 else "I" if bits <= 32 else "Q"
+    x = int.from_bytes(array(code, a).tobytes(), "little")
+    y = x if a is b else int.from_bytes(array(code, b).tobytes(), "little")
+    out = array(code)
+    out.frombytes((x * y).to_bytes((len(a) + len(b) - 1) * out.itemsize, "little"))
+    return [c % p for c in out]
+
+
+def _divmod_ints(a: Sequence[int], b: Sequence[int], p: int
+                 ) -> tuple[list[int], list[int]]:
+    """Schoolbook quotient and remainder of coefficient lists over F_p;
+    b has a nonzero leading coefficient.  The remainder accumulates
+    unreduced and is reduced once per leading coefficient and at the end."""
+    d = len(b) - 1
+    r = list(a)
+    if len(r) <= d:
+        return [], r
+    inv = pow(b[-1], -1, p)
+    low = b[:d]
+    quot = [0] * (len(r) - d)
+    for shift in range(len(r) - 1 - d, -1, -1):
+        c = r[shift + d] % p * inv % p
+        if c:
+            quot[shift] = c
+            r[shift:shift + d] = [x - c * y for x, y in zip(r[shift:shift + d], low)]
+    return quot, [x % p for x in r[:d]]
+
+
+# ---------------------------------------------------------------------------
 # Univariate polynomials over a FieldSpec
 # ---------------------------------------------------------------------------
 
@@ -422,6 +472,8 @@ class Polynomial:
         F = self.field
         if self.is_zero or other.is_zero:
             return Polynomial.zero(F)
+        if F.m == 1:
+            return Polynomial(F, _kron(self.coeffs, other.coeffs, F.p))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -439,6 +491,9 @@ class Polynomial:
         F = self.field
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
+        if F.m == 1:
+            quot, rem = _divmod_ints(self.coeffs, other.coeffs, F.p)
+            return Polynomial(F, quot), Polynomial(F, rem)
         r = list(self.coeffs)
         d = other.degree
         inv_lead = F.inv(other.leading)
@@ -499,6 +554,10 @@ def poly_eval(f: Polynomial, a: int) -> int:
     """Horner evaluation of f at the element with index a."""
     F = f.field
     acc = 0
+    if F.m == 1:
+        for c in reversed(f.coeffs):
+            acc = (acc * a + c) % F.p
+        return acc
     for c in reversed(f.coeffs):
         acc = F.add(F.mul(acc, a), c)
     return acc
@@ -511,14 +570,44 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    result = Polynomial.one(base.field)
+    """base^e modulo mod, by square-and-multiply.
+
+    Over F_p, with d = deg mod, each product is reduced by two packed
+    products against inv, the inverse of the reversed monic associate of
+    mod modulo x^(d-1) (Barrett reduction; the remainder modulo the monic
+    associate is the remainder modulo mod)."""
+    F = base.field
     base = base % mod
+    if F.m > 1:
+        result = Polynomial.one(F)
+        while e:
+            if e & 1:
+                result = (result * base) % mod
+            base = (base * base) % mod
+            e >>= 1
+        return result
+    p, d = F.p, mod.degree
+    m = mod.monic().coeffs
+    low, rev = m[:d], m[::-1]
+    inv = [1]
+    for j in range(1, d - 1):
+        inv.append(-sum(map(operator.mul, rev[1:j + 1], reversed(inv))) % p)
+
+    def reduce(c: list[int]) -> list[int]:
+        # c has length <= 2d - 1, so its quotient has at most d - 1 terms
+        k = len(c) - d
+        if k <= 0:
+            return c
+        quot = _kron(c[:d - 1:-1], inv[:k], p)[k - 1::-1]
+        return [(x - y) % p for x, y in zip(c[:d], _kron(quot, low, p))]
+
+    result, b = [1], list(base.coeffs)
     while e:
         if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
+            result = reduce(_kron(result, b, p))
+        b = reduce(_kron(b, b, p))
         e >>= 1
-    return result
+    return Polynomial(F, result)
 
 
 def _pth_root(f: Polynomial) -> Polynomial:

@@ -116,12 +116,13 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
         # exactly (q - 1)/2 such c: index i names b = i // half and the
         # (i mod half)-th such c in element order.
         four = field.from_int(4)
+        squares = {field.mul(x, x) for x in field.elements()}
         poly = gf.Polynomial.one(field)
         picks = sorted(rng.sample(range(available), count))
         for b, group in itertools.groupby(picks, key=lambda i: i // half):
             bb = field.mul(b, b)
-            cs = [c for c in field.elements() if gf.quadratic_character(
-                field, field.sub(bb, field.mul(four, c))) == -1]
+            cs = [c for c in field.elements()
+                  if field.sub(bb, field.mul(four, c)) not in squares]
             for i in group:
                 poly = poly * field.poly((cs[i % half], b, 1))
     else:

@@ -14,10 +14,16 @@ table add per free row and message.
 The characteristic polynomial over GF(2) has its Samuelson-Berkowitz
 recurrence here, and the quadratic branch sampler its list of all q^2
 pairs (b, c).
+
+Polynomial product, division, modular power and evaluation over F_p have
+their per-coefficient schoolbook loops here, one FieldSpec.add/sub/mul call
+per coefficient pair; schoolbook_kernels() routes gf through them, so gcds,
+distinct-degree splits and factorizations can be recomputed on them.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -286,3 +292,72 @@ def listed_quadratic_poly(q: int, count: int, seed: int) -> gf.Polynomial:
         b, c = irreducible[i]
         poly = poly * field.poly((c, b, 1))
     return poly
+
+
+def schoolbook_mul(f: gf.Polynomial, g: gf.Polynomial) -> gf.Polynomial:
+    F = f.field
+    if f.is_zero or g.is_zero:
+        return gf.Polynomial.zero(F)
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for j, b in enumerate(g.coeffs):
+                if b:
+                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return gf.Polynomial(F, out)
+
+
+def schoolbook_divmod(f: gf.Polynomial, g: gf.Polynomial
+                      ) -> tuple[gf.Polynomial, gf.Polynomial]:
+    F = f.field
+    if g.is_zero:
+        raise gf.DivisionByZero("polynomial division by zero")
+    r = list(f.coeffs)
+    d = g.degree
+    inv_lead = F.inv(g.leading)
+    quot = [0] * max(0, len(r) - d)
+    while len(r) - 1 >= d and r:
+        c = F.mul(r[-1], inv_lead)
+        shift = len(r) - 1 - d
+        quot[shift] = c
+        for i, gc in enumerate(g.coeffs):
+            r[shift + i] = F.sub(r[shift + i], F.mul(c, gc))
+        while r and r[-1] == 0:
+            r.pop()
+    return gf.Polynomial(F, quot), gf.Polynomial(F, r)
+
+
+def schoolbook_pow_mod(base: gf.Polynomial, e: int, mod: gf.Polynomial
+                       ) -> gf.Polynomial:
+    result = gf.Polynomial.one(base.field)
+    base = schoolbook_divmod(base, mod)[1]
+    while e:
+        if e & 1:
+            result = schoolbook_divmod(schoolbook_mul(result, base), mod)[1]
+        base = schoolbook_divmod(schoolbook_mul(base, base), mod)[1]
+        e >>= 1
+    return result
+
+
+def horner_eval(f: gf.Polynomial, a: int) -> int:
+    F = f.field
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = F.add(F.mul(acc, a), c)
+    return acc
+
+
+@contextmanager
+def schoolbook_kernels():
+    """Inside the block, gf's polynomial product, division, modular power
+    and evaluation are the schoolbook oracles above."""
+    saved = (gf.Polynomial.__mul__, gf.Polynomial.__divmod__,
+             gf.poly_pow_mod, gf.poly_eval)
+    gf.Polynomial.__mul__ = schoolbook_mul
+    gf.Polynomial.__divmod__ = schoolbook_divmod
+    gf.poly_pow_mod, gf.poly_eval = schoolbook_pow_mod, horner_eval
+    try:
+        yield
+    finally:
+        (gf.Polynomial.__mul__, gf.Polynomial.__divmod__,
+         gf.poly_pow_mod, gf.poly_eval) = saved

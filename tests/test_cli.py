@@ -179,6 +179,23 @@ def test_section_budget_exit_3(capsys):
     assert "sections" in payload["error"]["message"]
 
 
+def test_default_grid_budget_exit_3(capsys):
+    # both sides default to all of F_65536: 2^32 points, counted before
+    # either side is listed
+    tracemalloc.start()
+    try:
+        code, payload = run_json(capsys, "bounds", "--surface", "p1xp1",
+                                 "--q", "65536", "--divisor", "1,1",
+                                 "--points", "grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert code == 3
+    assert payload == {"error": {"kind": "budget", "message":
+                                 "4294967296 evaluation points exceed 1000000"}}
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["tower", "check", "--q", "67"],

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+
+import oracles
 
 from surfcodes import gf
 from surfcodes.gf import (DivisionByZero, EvenCharacteristic, FieldTooLarge,
@@ -298,3 +301,55 @@ class TestPolyFactor:
         f = Polynomial.from_roots(F4, [0, 1, 2, 3])
         facs = poly_factor(f)
         assert [fc.degree for fc, _ in facs] == [1, 1, 1, 1]
+
+
+def _random_poly(F, deg, rng):
+    """Degree deg with a random nonzero leading coefficient; deg -1 is zero."""
+    if deg < 0:
+        return Polynomial.zero(F)
+    return Polynomial(F, [rng.randrange(F.q) for _ in range(deg)]
+                      + [rng.randrange(1, F.q)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 67, 251, 65521])
+def test_packed_kernels_match_schoolbook(p):
+    """Products, quotients, remainders, modular powers, gcds and values over
+    F_p agree with the per-coefficient oracles on operands of degree -1..130,
+    non-monic moduli of degree 0..70 (0, 1 and 2 always among them) and
+    exponents 0, 1, p, p^2 and random; distinct-degree splits and
+    factorizations recomputed on the oracles agree too."""
+    rng = random.Random(p)
+    F = make_field(p)
+    for i in range(20):
+        a = _random_poly(F, rng.randrange(-1, 131), rng)
+        b = _random_poly(F, rng.randrange(-1, 131), rng)
+        mod = _random_poly(F, i if i < 3 else rng.randrange(0, 71), rng)
+        e = rng.choice([0, 1, p, p * p, rng.randrange(p ** 3)])
+        t = rng.randrange(p)
+        f = _random_poly(F, rng.randrange(1, 13), rng).monic()
+
+        def run():
+            return (a * b, divmod(a, mod), divmod(b, mod), a * a,
+                    gf.poly_pow_mod(a, e, mod), poly_gcd(a, b),
+                    poly_eval(a, t), gf.distinct_degree(f), poly_factor(f))
+
+        fast = run()
+        with oracles.schoolbook_kernels():
+            slow = run()
+        assert fast == slow
+
+
+def test_field_construction_digest():
+    # the modulus and the exp table of every field with q <= 4096, pinned
+    # byte for byte: the packed F_p arithmetic of the modulus search and the
+    # table bootstrap must reproduce the per-coefficient results
+    h = hashlib.sha256()
+    count = 0
+    for q in range(2, 4097):
+        if len(gf.prime_factors(q)) == 1:
+            F = gf.field_from_order(q)
+            h.update(repr((q, F.modulus, F._exp)).encode())
+            count += 1
+    assert count == 604
+    assert h.hexdigest() == \
+        "29a24ddd6cef40da70bf064a7979599915daf72ded872d17a9bab6be92847061"

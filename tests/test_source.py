@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import surfcodes
@@ -12,3 +15,15 @@ def test_no_assert_in_library():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the distance kernel and the operation tables need numpy; every
+    # other verb starts without paying for its import
+    src = str(Path(surfcodes.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, surfcodes.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
