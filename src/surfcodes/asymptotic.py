@@ -16,6 +16,7 @@ with sign tracking, never with floats.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,8 @@ from .gf import InvariantError
 RationalLike = Union[Fraction, int, str]
 
 INF = math.inf
-# each diagram sample holds about 1.2 KiB until the CSV is written
+# each diagram sample keeps its image point for the SVG, about 0.3 KiB, and
+# about 0.5 KiB while the SVG is drawn; CSV rows are written as computed
 MAX_DIAGRAM_SAMPLES = 250_000
 
 
@@ -178,29 +180,25 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
         raise BudgetExceeded(f"{grid_n}^2 diagram samples exceed {MAX_DIAGRAM_SAMPLES}")
     kmax = Fraction(2, g * (q + 1))
     cmax = Fraction(1, g * (q + 1))
-    rows = []
-    samples = []
-    for i in range(grid_n):
-        for j in range(grid_n):
-            samples.append(asym_point(kmax * i / (grid_n - 1),
-                                      cmax * j / (grid_n - 1)))
     poly = polygon_image(q, g)
-    samples += [poly[name] for name in ("A1", "B1", "C1", "D1")]
+    samples = itertools.chain(
+        (asym_point(kmax * i / (grid_n - 1), cmax * j / (grid_n - 1))
+         for i in range(grid_n) for j in range(grid_n)),
+        (poly[name] for name in ("A1", "B1", "C1", "D1")))
     image_pts = []
-    for pt in samples:
-        member = domain_membership(q, pt)
-        cp = phi_g(q, g, pt)
-        checks = code_bound_checks(q, cp)
-        in_domain = member["kappa_lb_ok"] and member["chi_ub_ok"]
-        rows.append((str(pt.kappa), str(pt.chi), str(cp.delta), str(cp.r),
-                     str(in_domain).lower(),
-                     str(checks["singleton_ok"]).lower(),
-                     str(checks["plotkin_ok"]).lower()))
-        image_pts.append((cp, in_domain))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DIAGRAM_HEADER)
-        writer.writerows(rows)
+        for pt in samples:
+            member = domain_membership(q, pt)
+            cp = phi_g(q, g, pt)
+            checks = code_bound_checks(q, cp)
+            in_domain = member["kappa_lb_ok"] and member["chi_ub_ok"]
+            writer.writerow((str(pt.kappa), str(pt.chi), str(cp.delta), str(cp.r),
+                             str(in_domain).lower(),
+                             str(checks["singleton_ok"]).lower(),
+                             str(checks["plotkin_ok"]).lower()))
+            image_pts.append((cp, in_domain))
     if svg_path:
         _write_svg(q, g, poly, image_pts, svg_path)
 

@@ -225,38 +225,30 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
     and any budget refusal leaves exact as None.
     """
     if tag == "grid":
-        pts = cd.rational_points(surface, q, "grid", grid)
-        n = len(pts.points)
-        grid_sizes = (len(pts.grid[0]), len(pts.grid[1]))
+        a_sz, b_sz = (len(side) for side in cd.grid_sides(surface, q, grid))
+        n = a_sz * b_sz
     else:
         n = sf.point_count(surface, q)
-        grid_sizes = None
     report = BoundReport(n=n, k_lower=None)
 
     # interpolating bound
-    gamma_div = None
     l = _default_very_ample(surface)
     if l is None:
         report.entries.append(BoundEntry(
             "interpolating", None, False,
             "no very ample class known in the catalog for this surface"))
     else:
-        try:
-            affine = gamma == "universal-affine"
-            gamma_div = universal_gamma(surface, l, q, affine)
-            gamma_reason = (f"Gamma = {'q' if affine else '(q+1)'}L with "
-                            f"L = {l.coords}"
-                            + ("; caller asserts the point set avoids a "
-                               "member of |L|" if affine else ""))
-        except NotVeryAmple as exc:
-            report.entries.append(BoundEntry("interpolating", None, False, str(exc)))
-    if gamma_div is not None:
+        affine = gamma == "universal-affine"
+        gamma_div = universal_gamma(surface, l, q, affine)
         gdotg = sf.intersect(gamma_div, g)
-        screen = gamma_square_check(gamma_div, n)
         report.entries.append(BoundEntry(
             "interpolating", n - gdotg, True,
-            gamma_reason + f"; Gamma.G = {gdotg}; Gamma^2 = "
-            f"{sf.intersect(gamma_div, gamma_div)} >= n is {screen}"))
+            f"Gamma = {'q' if affine else '(q+1)'}L with L = {l.coords}"
+            + ("; caller asserts the point set avoids a member of |L|"
+               if affine else "")
+            + f"; Gamma.G = {gdotg}; Gamma^2 = "
+            f"{sf.intersect(gamma_div, gamma_div)} >= n is "
+            f"{gamma_square_check(gamma_div, n)}"))
 
     # Aubry
     try:
@@ -266,26 +258,21 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
         report.entries.append(BoundEntry("aubry", None, False, str(exc)))
 
     # Hansen (S), caller-supplied data only
-    if epsilon is not None:
-        l_sq = sf.intersect(g, g)
+    l_sq = sf.intersect(g, g)
+    for name, data, reason in (
+            ("hansen_S1", {"epsilon": epsilon},
+             f"caller-supplied Seshadri lower bound epsilon = {epsilon}"),
+            ("hansen_S2", {"xi": xi}, f"caller-supplied xi = {xi}")):
+        if None in data.values():
+            continue
         try:
             report.entries.append(BoundEntry(
-                "hansen_S1", hansen_seshadri_bound(n, l_sq, epsilon=epsilon),
-                True, f"caller-supplied Seshadri lower bound epsilon = {epsilon}"))
-        except InvalidEpsilon as exc:
-            report.entries.append(BoundEntry("hansen_S1", None, False, str(exc)))
-    if xi is not None:
-        l_sq = sf.intersect(g, g)
-        try:
-            report.entries.append(BoundEntry(
-                "hansen_S2", hansen_seshadri_bound(n, l_sq, xi=xi),
-                True, f"caller-supplied xi = {xi}"))
-        except InvalidXi as exc:
-            report.entries.append(BoundEntry("hansen_S2", None, False, str(exc)))
+                name, hansen_seshadri_bound(n, l_sq, **data), True, reason))
+        except (InvalidEpsilon, InvalidXi) as exc:
+            report.entries.append(BoundEntry(name, None, False, str(exc)))
 
     # grid-specific bound
-    if grid_sizes is not None:
-        a_sz, b_sz = grid_sizes
+    if tag == "grid":
         if surface.kind == sf.HIRZEBRUCH:
             (e,) = surface.params
             u, v = g.coords
@@ -299,12 +286,10 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
                 f"{a_sz}x{b_sz} grid on the quadric"))
 
     # dimension lower bound: needs injectivity (n > Gamma.G) and an ample H
-    if gamma_div is not None:
-        gdotg = sf.intersect(gamma_div, g)
-        if n > gdotg:
-            h = _find_ample_h(surface, g)
-            if h is not None:
-                report.k_lower = sf.riemann_roch_lower(surface, g, h)
+    if l is not None and n > gdotg:
+        h = _find_ample_h(surface, g)
+        if h is not None:
+            report.k_lower = sf.riemann_roch_lower(surface, g, h)
     # exact parameters
     if exact_budget and surface.kind in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
         try:

@@ -2,9 +2,10 @@
 stdout (or --out), deterministic seeds, and budget guards.
 
 Exit codes: 0 success, 1 internal error (a failed invariant or closed-form
-cross-check, i.e. a bug), 2 precondition violation, 3 budget exceeded, 4 I/O
-error.  On failure, usage errors included, a structured {"error": {...}}
-JSON is printed and the process exits nonzero.
+cross-check, or any other unexpected exception: a bug), 2 precondition
+violation, 3 budget exceeded, 4 I/O error.  On failure, usage errors
+included, a structured {"error": {...}} JSON is printed and the process
+exits nonzero.
 """
 
 from __future__ import annotations
@@ -305,6 +306,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         sys.stdout.write(_error_json("precondition", str(exc)))
         return EXIT_PRECONDITION
+    except Exception as exc:                      # a library bug
+        import traceback                          # not loaded at start-up
+        traceback.print_exc()
+        sys.stdout.write(_error_json("internal", f"{type(exc).__name__}: {exc}"))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

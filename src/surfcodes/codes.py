@@ -27,6 +27,7 @@ a pair (t, x) is evaluated as the point (t, 1, x, 1) like any other point.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -64,9 +65,43 @@ class PointList:
     grid: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
 
-def _p1_reps(field: gf.FieldSpec) -> list[tuple[int, int]]:
-    """Canonical representatives of P^1(F_q): (1, c) and (0, 1)."""
-    return [(1, c) for c in field.elements()] + [(0, 1)]
+def _projective_points(elements, dim: int):
+    """Canonical representatives of P^dim over the given field elements, one
+    at a time: the first nonzero coordinate is 1."""
+    for lead in range(dim + 1):
+        prefix = (0,) * lead + (1,)
+        for tail in itertools.product(elements, repeat=dim - lead):
+            yield prefix + tail
+
+
+def _check_point_budget(n: int) -> None:
+    if n > MAX_POINTS:
+        raise BudgetExceeded(f"{n} evaluation points exceed {MAX_POINTS}")
+
+
+def grid_sides(surface: sf.SurfaceModel, q: int,
+               grid: Optional[tuple[Sequence[int], Sequence[int]]] = None
+               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sides (A, B) of a grid evaluation set, each sorted and distinct,
+    all of F_q for grid=None; the grid itself is never listed.  Refused in
+    this order: a surface other than the quadric and the Hirzebruch
+    surfaces, more than MAX_POINTS points (BudgetExceeded, counted before the
+    field is built or a default side listed), q not a prime power, an entry
+    outside F_q."""
+    if surface.kind not in (sf.P1XP1, sf.HIRZEBRUCH):
+        raise UnsupportedSubset(f"grid points are not defined on {surface.kind}")
+    if grid is None:
+        grid = (range(q), range(q))
+    # an ascending range is already sorted and distinct: count it unlisted
+    a, b = (s if isinstance(s, range) and s.step > 0
+            else tuple(sorted(set(int(x) for x in s))) for s in grid)
+    _check_point_budget(len(a) * len(b))
+    gf.field_from_order(q)
+    a, b = tuple(a), tuple(b)
+    for c in a + b:
+        if not 0 <= c < q:
+            raise UnsupportedSubset(f"grid entry {c} is not an element of F_{q}")
+    return a, b
 
 
 def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
@@ -74,43 +109,25 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
                     ) -> PointList:
     """Deterministically ordered canonical point list.
 
-    tag="grid" takes grid=(A, B) with A, B subsets of F_q element indices and
-    is supported on the quadric and the Hirzebruch surfaces only.  The point
-    count is checked against MAX_POINTS before the field or any point is
-    built; a larger count raises BudgetExceeded.
+    tag="grid" takes grid=(A, B) with A, B subsets of F_q element indices,
+    checked by grid_sides.  The point count is checked against MAX_POINTS
+    before the field or any point is built; a larger count raises
+    BudgetExceeded.
     """
-    if tag == "all":
-        if surface.kind not in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
-            raise UnsupportedSubset(
-                f"{surface.kind} has no point enumeration (bounds only)")
-        n = sf.point_count(surface, q)
-    elif tag == "grid":
-        if surface.kind not in (sf.P1XP1, sf.HIRZEBRUCH):
-            raise UnsupportedSubset(f"grid points are not defined on {surface.kind}")
-        if grid is None:
-            grid = (range(q), range(q))
-        # an ascending range is already sorted and distinct: count it unlisted
-        a, b = (s if isinstance(s, range) and s.step > 0
-                else tuple(sorted(set(int(x) for x in s))) for s in grid)
-        n = len(a) * len(b)
-    else:
-        raise UnsupportedSubset(f"unknown point tag {tag!r}")
-    if n > MAX_POINTS:
-        raise BudgetExceeded(f"{n} evaluation points exceed {MAX_POINTS}")
-    field = gf.field_from_order(q)
     if tag == "grid":
-        a, b = tuple(a), tuple(b)
-        for c in a + b:
-            if not 0 <= c < q:
-                raise UnsupportedSubset(f"grid entry {c} is not an element of F_{q}")
-        pts = [(x, y) for x in a for y in b]
-        return PointList("grid", tuple(pts), (a, b))
+        a, b = grid_sides(surface, q, grid)
+        return PointList("grid", tuple((x, y) for x in a for y in b), (a, b))
+    if tag != "all":
+        raise UnsupportedSubset(f"unknown point tag {tag!r}")
+    if surface.kind not in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
+        raise UnsupportedSubset(
+            f"{surface.kind} has no point enumeration (bounds only)")
+    _check_point_budget(sf.point_count(surface, q))
+    field = gf.field_from_order(q)
     if surface.kind == sf.P2:
-        pts = [(1, y, z) for y in field.elements() for z in field.elements()]
-        pts += [(0, 1, z) for z in field.elements()]
-        pts += [(0, 0, 1)]
+        pts = list(_projective_points(field.elements(), 2))
     else:
-        reps = _p1_reps(field)
+        reps = list(_projective_points(field.elements(), 1))
         pts = [a + b for a in reps for b in reps]
     pts.sort()
     return PointList("all", tuple(pts))
@@ -450,31 +467,12 @@ def _locus_survivors(ell: int, q: int, m: int, budget: int
         raise BudgetExceeded(f"P^{ell}(F_{ext.q}) has {npoints} points, "
                              f"budget is {budget}")
     subfield = set(emb)
-
-    def reps(dim: int):
-        for tail_len in range(dim + 1):
-            # first nonzero coordinate at position dim - tail_len
-            prefix = (0,) * (dim - tail_len) + (1,)
-            tails = [()]
-            for _ in range(tail_len):
-                tails = [t + (c,) for t in tails for c in ext.elements()]
-            for t in tails:
-                yield prefix + t
-
-    survivors = set()
-    for pt in reps(ell):
-        ok = True
-        for i in range(ell + 1):
-            for j in range(i + 1, ell + 1):
-                a, b = pt[i], pt[j]
-                if ext.mul(ext.pow(a, q), b) != ext.mul(a, ext.pow(b, q)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            survivors.add(pt)
-    expected = {pt for pt in reps(ell) if all(c in subfield for c in pt)}
+    survivors = {pt for pt in _projective_points(ext.elements(), ell)
+                 if all(ext.mul(ext.pow(pt[i], q), pt[j])
+                        == ext.mul(pt[i], ext.pow(pt[j], q))
+                        for i in range(ell + 1) for j in range(i + 1, ell + 1))}
+    expected = {pt for pt in _projective_points(ext.elements(), ell)
+                if all(c in subfield for c in pt)}
     return survivors, expected
 
 

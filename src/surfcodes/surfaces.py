@@ -47,7 +47,6 @@ class PreconditionFailed(ValueError):
 class SurfaceModel:
     kind: str
     params: tuple
-    basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     canonical_coords: tuple[int, ...]
     chi_o: int
@@ -55,15 +54,13 @@ class SurfaceModel:
 
     @property
     def ns_rank(self) -> int:
-        return len(self.basis)
+        return len(self.gram)
 
     @property
     def canonical(self) -> "DivisorClass":
         return DivisorClass(self, self.canonical_coords)
 
     def divisor(self, *coords: int) -> "DivisorClass":
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
         return DivisorClass(self, tuple(int(c) for c in coords))
 
     def to_json_dict(self) -> dict:
@@ -120,18 +117,17 @@ def _same_surface(d: DivisorClass, e: DivisorClass) -> None:
 
 
 def projective_plane() -> SurfaceModel:
-    return SurfaceModel(P2, (), ("L",), ((1,),), (-3,), 1, 3)
+    return SurfaceModel(P2, (), ((1,),), (-3,), 1, 3)
 
 
 def quadric_p1xp1() -> SurfaceModel:
-    return SurfaceModel(P1XP1, (), ("H", "V"), ((0, 1), (1, 0)), (-2, -2), 1, 4)
+    return SurfaceModel(P1XP1, (), ((0, 1), (1, 0)), (-2, -2), 1, 4)
 
 
 def hirzebruch(e: int) -> SurfaceModel:
     if e < 0:
         raise InvalidParams(f"Hirzebruch parameter e must be >= 0, got {e}")
-    return SurfaceModel(HIRZEBRUCH, (e,), ("F", "S"),
-                        ((0, 1), (1, -e)), (-(e + 2), -2), 1, 4)
+    return SurfaceModel(HIRZEBRUCH, (e,), ((0, 1), (1, -e)), (-(e + 2), -2), 1, 4)
 
 
 def curve_product(g_c: int, g_d: int, n_c: int, n_d: int) -> SurfaceModel:
@@ -141,8 +137,7 @@ def curve_product(g_c: int, g_d: int, n_c: int, n_d: int) -> SurfaceModel:
         raise InvalidParams("point counts must be >= 0")
     chi_o = (g_c - 1) * (g_d - 1)
     chi_et = (2 - 2 * g_c) * (2 - 2 * g_d)
-    return SurfaceModel(CURVE_PRODUCT, (g_c, g_d, n_c, n_d), ("FC", "FD"),
-                        ((0, 1), (1, 0)),
+    return SurfaceModel(CURVE_PRODUCT, (g_c, g_d, n_c, n_d), ((0, 1), (1, 0)),
                         (2 * g_d - 2, 2 * g_c - 2), chi_o, chi_et)
 
 

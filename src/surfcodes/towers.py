@@ -99,6 +99,8 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
     field = gf.field_from_order(q)
     if field.q % 2 == 0:
         raise gf.EvenCharacteristic("branch polynomials need odd q")
+    if count < 0:
+        raise NotEnoughFactors(f"{kind} factor count must be >= 0, got {count}")
     rng = random.Random(seed)
     if kind == "linear":
         if count > q:
@@ -145,9 +147,20 @@ class FrobeniusModule:
         return 2 * self.g
 
 
-def _module_from_cycle_type(cycles: Sequence[int]) -> list[int]:
-    """Matrix of the permutation with the given cycle type acting on
-    (sum-zero vectors in F_2^n) / (all-ones), n = sum(cycles), in the basis
+def two_torsion_frobenius(curve: HyperellipticCurve) -> FrobeniusModule:
+    """The Frobenius permutes the 2g + 2 roots of f with cycle type equal to
+    the factor-degree multiset, read off the distinct-degree split of f (f is
+    squarefree by construction of the curve); the induced action on the root
+    module is returned in the fixed difference basis."""
+    return module_from_cycle_type(
+        [d for d, h in gf.distinct_degree(curve.f.monic())
+         for _ in range(h.degree // d)])           # ascending: canonical factor order
+
+
+def module_from_cycle_type(cycles: Sequence[int]) -> FrobeniusModule:
+    """The 2-torsion module of a Frobenius with the given cycle type on the
+    roots (sum(cycles) = n = 2g + 2): the matrix of the permutation acting on
+    (sum-zero vectors in F_2^n) / (all-ones) in the fixed difference basis
     d_i = e_i + e_{i+1}, i = 0..n-3.
 
     A vector w in the sum-zero subspace with last coordinate zero has
@@ -155,6 +168,8 @@ def _module_from_cycle_type(cycles: Sequence[int]) -> list[int]:
     coordinate is one, reduce w + all-ones instead.
     """
     n = sum(cycles)
+    if n % 2 != 0 or n < 4:
+        raise OddDegree(f"cycle lengths must sum to an even number >= 4, got {n}")
     dim = n - 2
     perm = list(range(n))
     start = 0
@@ -175,27 +190,7 @@ def _module_from_cycle_type(cycles: Sequence[int]) -> list[int]:
             coords |= acc << j
         cols.append(coords)
     # cols[i] holds column i; transpose into row-bitmask convention
-    return f2.transpose_rows(cols, dim)
-
-
-def two_torsion_frobenius(curve: HyperellipticCurve) -> FrobeniusModule:
-    """The Frobenius permutes the 2g + 2 roots of f with cycle type equal to
-    the factor-degree multiset, read off the distinct-degree split of f (f is
-    squarefree by construction of the curve); the induced action on the root
-    module is returned in the fixed difference basis."""
-    return module_from_cycle_type(
-        [d for d, h in gf.distinct_degree(curve.f.monic())
-         for _ in range(h.degree // d)])           # ascending: canonical factor order
-
-
-def module_from_cycle_type(cycles: Sequence[int]) -> FrobeniusModule:
-    """The 2-torsion module of a Frobenius with the given cycle type on the
-    roots (sum(cycles) = 2g + 2), in the fixed difference basis."""
-    n = sum(cycles)
-    if n % 2 != 0 or n < 4:
-        raise OddDegree(f"cycle lengths must sum to an even number >= 4, got {n}")
-    rows = _module_from_cycle_type(list(cycles))
-    return FrobeniusModule(g=(n - 2) // 2, rows=tuple(rows))
+    return FrobeniusModule(g=(n - 2) // 2, rows=tuple(f2.transpose_rows(cols, dim)))
 
 
 def fixed_space_dim(module: FrobeniusModule) -> int:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 import time
 import tracemalloc
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from surfcodes import cli
 from surfcodes import codes as cd
+from surfcodes import surfaces as sf
 from surfcodes import towers as tw
 
 _F3 = {"p": 3, "m": 1, "modulus": [0]}
@@ -196,6 +199,36 @@ def test_default_grid_budget_exit_3(capsys):
                                  "4294967296 evaluation points exceed 1000000"}}
 
 
+def test_grid_report_counts_without_listing(capsys):
+    # a 997 x 997 grid: the report reads only the two side lengths, so the
+    # 994,009 point pairs are never built
+    tracemalloc.start()
+    try:
+        code, payload = run_json(capsys, "bounds", "--surface", "p1xp1",
+                                 "--q", "997", "--divisor", "1,1",
+                                 "--points", "grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert code == 0
+    assert payload["n"] == 994009
+    assert payload["entries"][-1]["reason"] == "997x997 grid on the quadric"
+
+
+def test_library_bug_ends_in_json(capsys, monkeypatch):
+    # an exception no handler expects is a bug: kind internal, exit 1
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(cd, "build_code", broken)
+    code, payload = run_json(capsys, "code", "build", "--surface", "p1xp1",
+                             "--q", "3", "--divisor", "1,1")
+    assert code == 1
+    assert payload == {"error": {"kind": "internal",
+                                 "message": "TypeError: unexpected argument"}}
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["tower", "check", "--q", "67"],
@@ -350,6 +383,17 @@ class TestTowerCommands:
         assert code == 0
         assert payload["q"] == 65521 and payload["h1G"] == 6
 
+    @pytest.mark.parametrize("g1, message", [
+        (-5, "linear factor count must be >= 0, got -8"),
+        (0, "degree 2 < 6 means genus < 2"),
+        (1, "degree 4 < 6 means genus < 2"),
+    ])
+    def test_check_small_genus_exit_2(self, capsys, g1, message):
+        code, payload = run_json(capsys, "tower", "check", "--q", "7",
+                                 f"--g1={g1}", "--g2", "2", "--rho", "1")
+        assert code == 2
+        assert payload == {"error": {"kind": "precondition", "message": message}}
+
     def test_search_even_q_exit_2(self, capsys):
         code, _ = run_json(capsys, "tower", "search", "--q", "4",
                            "--g1", "2..3", "--g2", "2..3", "--rho", "1")
@@ -380,11 +424,137 @@ def test_tower_arguments_end_in_json(action, q, g1, g2, rho, spans, joined):
     argv = ["tower", action]
     for k, v in values.items():
         argv += [f"--{k}={v}"] if joined else [f"--{k}", str(v)]
+    _assert_ends_in_json(argv, (0, 2, 3))
+
+
+def _assert_ends_in_json(argv, codes=(0, 2, 3, 4)):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    assert code in (0, 2, 3)
+    assert code in codes
     json.loads(out.getvalue())
+
+
+_Q = st.sampled_from((2, 3, 4, 5, 9, -1, 1, 6, 8192))
+_INT_LIST = st.lists(st.integers(-1, 4), min_size=1, max_size=3).map(
+    lambda v: ",".join(str(x) for x in v))
+
+
+@st.composite
+def _surface_argv(draw):
+    # mostly well-formed: the divisor has as many coordinates as the
+    # surface's Neron-Severi rank unless the draw says otherwise
+    surface = draw(st.sampled_from(("p2", "p1xp1", "hirzebruch", "p1xp1",
+                                    "hirzebruch", "torus")))
+    argv = ["--surface", surface]
+    if surface == "hirzebruch":
+        e = draw(st.sampled_from((0, 2, 1, -1, None)))
+        if e is not None:
+            argv.append(f"--e={e}")
+    rank = 1 if surface == "p2" else 2
+    coords = draw(st.lists(st.integers(-1, 3), min_size=rank, max_size=rank)
+                  | st.lists(st.integers(-3, 5), max_size=3))
+    argv += [f"--q={draw(_Q)}", "--divisor=" + ",".join(str(c) for c in coords)]
+    if draw(st.booleans()):
+        argv += ["--points", "grid"]
+        for side in ("--grid-a", "--grid-b"):
+            value = draw(st.one_of(st.none(), _INT_LIST, st.just("x")))
+            if value is not None:
+                argv.append(f"{side}={value}")
+    return argv
+
+
+_BOUNDS_OPTIONS = st.lists(st.sampled_from((
+    "--exact", "--budget=20000", "--budget=-1", "--gamma=universal-affine",
+    "--epsilon=1/2", "--epsilon=-1", "--epsilon=1/0", "--epsilon=x",
+    "--xi=2", "--xi=0", "--lift=3", "--lift=0", "--lift=-2")), max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(verb=st.sampled_from(("code", "bounds")), surface=_surface_argv(),
+       options=_BOUNDS_OPTIONS)
+def test_surface_arguments_end_in_json(verb, surface, options):
+    # code build and bounds end in an answer or a structured error
+    _assert_ends_in_json(["bounds", *surface, *options] if verb == "bounds"
+                         else ["code", "build", *surface])
+
+
+_BASE_CODE = cd.build_code(sf.quadric_p1xp1(), sf.quadric_p1xp1().divisor(1, 1),
+                           3).to_json_dict()
+_KEY_PATHS = (("field",), ("field", "p"), ("field", "m"), ("field", "modulus"),
+              ("n",), ("k",), ("generator",), ("surface",), ("surface", "kind"),
+              ("surface", "params"), ("divisor",), ("point_tag",),
+              ("section_count",))
+
+
+@st.composite
+def _mutated_code(draw):
+    doc = json.loads(json.dumps(_BASE_CODE))
+    n, k = doc["n"], doc["k"]
+    kind = draw(st.sampled_from(("drop", "type", "entry", "dependent", "huge")))
+    if kind in ("drop", "type"):
+        *heads, key = draw(st.sampled_from(_KEY_PATHS))
+        owner = doc
+        for head in heads:
+            owner = owner[head]
+        if kind == "drop":
+            del owner[key]
+        else:
+            owner[key] = draw(st.sampled_from(
+                ("x", 1.5, None, True, [], {}, -1, 0, 10 ** 30, [1, "a"],
+                 {"grid": {"A": [0], "B": "x"}})))
+    elif kind == "entry":
+        i = draw(st.integers(0, n * k - 1))
+        doc["generator"][i] = draw(st.sampled_from((-1, 3, 10 ** 20, 1.0, "1", None)))
+    elif kind == "dependent":
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.integers(0, 2))
+        doc["generator"][j * n:(j + 1) * n] = [
+            c * x % 3 for x in doc["generator"][i * n:(i + 1) * n]]
+    else:
+        key = draw(st.sampled_from(("n", "k")))
+        doc[key] = draw(st.sampled_from((10 ** 5, 10 ** 9, 10 ** 18)))
+        if doc[key] == 10 ** 5 and draw(st.booleans()):
+            # a generator of the claimed size: one row, or one column
+            doc["n"], doc["k"] = (doc["n"], 1) if key == "n" else (1, doc["k"])
+            doc["generator"] = [1] * 10 ** 5
+    return doc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(doc=_mutated_code(), budget=st.sampled_from((None, 0, 100, 10 ** 6)))
+def test_code_json_mutations_end_in_json(doc, budget):
+    # code distance on a damaged code document: an answer or a structured
+    # error, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["code", "distance", "--in", path]
+        _assert_ends_in_json(argv + ([f"--budget={budget}"] if budget is not None
+                                     else []))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(action=st.sampled_from(("map", "polygon", "diagram")),
+       q=st.integers(-2, 12), g=st.integers(-1, 13),
+       point=st.sampled_from(("1/9,0", "0,0", "1/0,0", "x,1", "1,2,3", "-1,0",
+                              "1/100,1/300", "")),
+       grid=st.sampled_from((-1, 0, 1, 2, 5, 600)),
+       target=st.sampled_from(("file", "dir", "missing")), svg=st.booleans())
+def test_asym_arguments_end_in_json(action, q, g, point, grid, target, svg):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["asym", action, f"--q={q}", f"--g={g}"]
+        if action == "map":
+            argv.append(f"--point={point}")
+        elif action == "diagram":
+            out = {"file": os.path.join(tmp, "d.csv"), "dir": tmp,
+                   "missing": os.path.join(tmp, "no", "d.csv")}[target]
+            argv += [f"--grid={grid}", f"--out={out}"]
+            if svg:
+                argv.append(f"--svg={os.path.join(tmp, 'd.svg')}")
+        _assert_ends_in_json(argv)
 
 
 class TestAsymCommands:
