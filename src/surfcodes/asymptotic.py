@@ -15,9 +15,10 @@ with sign tracking, never with floats.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
-import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -27,9 +28,8 @@ from .gf import InvariantError
 
 RationalLike = Union[Fraction, int, str]
 
-INF = math.inf
-# each diagram sample keeps its image point for the SVG, about 0.3 KiB, and
-# about 0.5 KiB while the SVG is drawn; CSV rows are written as computed
+# each sample is written as soon as it is computed, so memory stays flat in
+# the grid; the budget bounds the running time
 MAX_DIAGRAM_SAMPLES = 250_000
 
 
@@ -37,34 +37,32 @@ class GOutOfRange(ValueError):
     pass
 
 
-class InfiniteInput(ValueError):
-    pass
-
-
 class InvalidGenus(ValueError):
     pass
 
 
+def rational_to_json(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class AsymptoticPoint:
-    """A (kappa, chi) pair; finite parts are reduced fractions, infinity is
-    represented by math.inf."""
-    kappa: Union[Fraction, float]
-    chi: Union[Fraction, float]
+    """A (kappa, chi) pair of exact rationals with kappa >= 0."""
+    kappa: Fraction
+    chi: Fraction
 
     def __post_init__(self):
         for name, v in (("kappa", self.kappa), ("chi", self.chi)):
             if isinstance(v, float):
-                if v != INF:
-                    raise ValueError(f"{name} must be a Fraction or +inf")
-            elif not isinstance(v, Fraction):
+                raise ValueError(f"{name} must be exact, got the float {v}")
+            if not isinstance(v, Fraction):
                 object.__setattr__(self, name, Fraction(v))
-        if self.is_finite and self.kappa < 0:
+        if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
 
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self.kappa, Fraction) and isinstance(self.chi, Fraction)
+    def to_json_dict(self) -> dict:
+        return {"kappa": rational_to_json(self.kappa),
+                "chi": rational_to_json(self.chi)}
 
 
 @dataclass(frozen=True)
@@ -72,17 +70,18 @@ class CodePoint:
     delta: Fraction
     r: Fraction
 
+    def to_json_dict(self) -> dict:
+        return {"delta": rational_to_json(self.delta), "R": rational_to_json(self.r)}
+
 
 def asym_point(kappa: RationalLike, chi: RationalLike) -> AsymptoticPoint:
-    return AsymptoticPoint(Fraction(kappa), Fraction(chi))
+    return AsymptoticPoint(kappa, chi)
 
 
 def phi_g(q: int, g: int, pt: AsymptoticPoint) -> CodePoint:
     """The affine map into the code domain; relevant range 2 <= g <= q."""
     if not 2 <= g <= q:
         raise GOutOfRange(f"need 2 <= g <= q, got g = {g}, q = {q}")
-    if not pt.is_finite:
-        raise InfiniteInput("phi_g needs finite coordinates")
     delta = 1 - g * (q + 1) * pt.kappa
     r = Fraction(g * (g - 1), 2) * pt.kappa + pt.chi
     return CodePoint(delta, r)
@@ -90,8 +89,6 @@ def phi_g(q: int, g: int, pt: AsymptoticPoint) -> CodePoint:
 
 def domain_membership(q: int, pt: AsymptoticPoint) -> dict:
     """Exact checks of the two proven outer constraints."""
-    if not pt.is_finite:
-        raise InfiniteInput("membership checks need finite coordinates")
     return {
         "kappa_lb_ok": pt.kappa >= Fraction(1, (q + 1) ** 2),
         "chi_ub_ok": pt.chi <= pt.kappa / 2,
@@ -170,10 +167,12 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
                  svg_path: Optional[str] = None) -> None:
     """CSV sampling of the rectangle [0, 2/(g(q+1))] x [0, 1/(g(q+1))] on a
     grid_n x grid_n lattice, followed by the four reference-polygon corner
-    rows (exact).  Rationals are serialized as num/den strings, flags as
-    true/false.  Optionally renders an SVG of the image domain.  More than
-    MAX_DIAGRAM_SAMPLES grid samples raise BudgetExceeded before any sample
-    is built or any file written."""
+    rows (exact).  Rationals are serialized by str (num/den, integers bare),
+    flags as true/false.  Optionally renders an SVG of the image domain, one
+    point per sample.  Each sample is written as soon as it is computed.
+    Every refusal comes before any file is opened: more than
+    MAX_DIAGRAM_SAMPLES grid samples raise BudgetExceeded, and a CSV and SVG
+    path naming the same file raise ValueError."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if grid_n * grid_n > MAX_DIAGRAM_SAMPLES:
@@ -181,14 +180,19 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
     kmax = Fraction(2, g * (q + 1))
     cmax = Fraction(1, g * (q + 1))
     poly = polygon_image(q, g)
+    if svg_path and os.path.realpath(svg_path) == os.path.realpath(path):
+        raise ValueError(f"the CSV and the SVG would both be written to {path!r}")
     samples = itertools.chain(
-        (asym_point(kmax * i / (grid_n - 1), cmax * j / (grid_n - 1))
+        (AsymptoticPoint(kmax * i / (grid_n - 1), cmax * j / (grid_n - 1))
          for i in range(grid_n) for j in range(grid_n)),
         (poly[name] for name in ("A1", "B1", "C1", "D1")))
-    image_pts = []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh, \
+            (open(svg_path, "w", encoding="utf-8") if svg_path
+             else contextlib.nullcontext()) as svg:
         writer = csv.writer(fh)
         writer.writerow(DIAGRAM_HEADER)
+        if svg:
+            svg.write(_svg_head(q, poly))
         for pt in samples:
             member = domain_membership(q, pt)
             cp = phi_g(q, g, pt)
@@ -198,44 +202,39 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
                              str(in_domain).lower(),
                              str(checks["singleton_ok"]).lower(),
                              str(checks["plotkin_ok"]).lower()))
-            image_pts.append((cp, in_domain))
-    if svg_path:
-        _write_svg(q, g, poly, image_pts, svg_path)
+            if svg:
+                x, y = _svg_xy(cp)
+                color = "black" if in_domain else "lightgray"
+                svg.write(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>\n')
+        if svg:
+            svg.write("</svg>\n")
 
 
-def _write_svg(q: int, g: int, poly: dict, image_pts, svg_path: str) -> None:
-    # (delta, R) unit square with the Plotkin and Singleton lines, the image
-    # polygon A2 B2 C2 D2, and the sampled image points.
-    width = height = 440
-    pad = 40
-
-    def xy(cp: CodePoint):
-        return (pad + float(cp.delta) * (width - 2 * pad),
-                height - pad - float(cp.r) * (height - 2 * pad))
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
-             f'height="{height - 2 * pad}" fill="none" stroke="black"/>']
-    sx, sy = xy(CodePoint(Fraction(0), Fraction(1)))
-    ex, ey = xy(CodePoint(Fraction(1), Fraction(0)))
-    parts.append(f'<line x1="{sx}" y1="{sy}" x2="{ex}" y2="{ey}" '
-                 'stroke="gray" stroke-dasharray="6,3"/>')
-    px, py = xy(CodePoint(Fraction(q - 1, q), Fraction(0)))
-    parts.append(f'<line x1="{sx}" y1="{sy}" x2="{px}" y2="{py}" '
-                 'stroke="gray"/>')
-    corner_pts = " ".join(f"{xy(poly[n])[0]},{xy(poly[n])[1]}"
-                          for n in ("A2", "B2", "C2", "D2"))
-    parts.append(f'<polygon points="{corner_pts}" fill="silver" '
-                 'fill-opacity="0.4" stroke="black"/>')
-    for cp, in_domain in image_pts:
-        x, y = xy(cp)
-        color = "black" if in_domain else "lightgray"
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>')
-    parts.append("</svg>")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+# the SVG draws the (delta, R) unit square in a 440 px square with 40 px pad
+_SVG_SIZE = 440
+_SVG_PAD = 40
 
 
-def rational_to_json(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _svg_xy(cp: CodePoint) -> tuple[float, float]:
+    span = _SVG_SIZE - 2 * _SVG_PAD
+    return (_SVG_PAD + float(cp.delta) * span,
+            _SVG_SIZE - _SVG_PAD - float(cp.r) * span)
+
+
+def _svg_head(q: int, poly: dict) -> str:
+    # the frame, the Singleton (dashed) and Plotkin lines, and the image
+    # polygon A2 B2 C2 D2, one element per line
+    size, pad = _SVG_SIZE, _SVG_PAD
+    sx, sy = _svg_xy(CodePoint(Fraction(0), Fraction(1)))
+    ex, ey = _svg_xy(CodePoint(Fraction(1), Fraction(0)))
+    px, py = _svg_xy(CodePoint(Fraction(q - 1, q), Fraction(0)))
+    corners = " ".join("{},{}".format(*_svg_xy(poly[n])) for n in ("A2", "B2", "C2", "D2"))
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+            f'height="{size}" viewBox="0 0 {size} {size}">\n'
+            f'<rect x="{pad}" y="{pad}" width="{size - 2 * pad}" '
+            f'height="{size - 2 * pad}" fill="none" stroke="black"/>\n'
+            f'<line x1="{sx}" y1="{sy}" x2="{ex}" y2="{ey}" '
+            'stroke="gray" stroke-dasharray="6,3"/>\n'
+            f'<line x1="{sx}" y1="{sy}" x2="{px}" y2="{py}" stroke="gray"/>\n'
+            f'<polygon points="{corners}" fill="silver" '
+            'fill-opacity="0.4" stroke="black"/>\n')

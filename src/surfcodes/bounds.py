@@ -12,6 +12,7 @@ reports along finite covers in which the evaluation set splits totally.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import floor
@@ -192,14 +193,11 @@ def _default_very_ample(surface: sf.SurfaceModel) -> Optional[sf.DivisorClass]:
 
 def _find_ample_h(surface: sf.SurfaceModel,
                   g: sf.DivisorClass) -> Optional[sf.DivisorClass]:
-    # heuristic scan of a fixed coordinate box, sufficient for the catalog
-    k, box = surface.canonical, 10
-    if surface.ns_rank == 1:
-        candidates = [surface.divisor(a) for a in range(1, box + 1)]
-    else:
-        candidates = [surface.divisor(a, b)
-                      for a in range(-box, box + 1) for b in range(-box, box + 1)]
-    for h in candidates:
+    # heuristic scan of the box 1..10 in each coordinate, sufficient for the
+    # catalog: every catalog ample class has positive coordinates
+    k = surface.canonical
+    for coords in itertools.product(range(1, 11), repeat=surface.ns_rank):
+        h = surface.divisor(*coords)
         if sf.ampleness_flags(surface, h).ample and \
                 sf.intersect(g, h) > sf.intersect(k, h):
             return h

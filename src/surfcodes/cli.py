@@ -152,21 +152,11 @@ def cmd_tower_search(args) -> int:
 
 # -- asym ---------------------------------------------------------------------
 
-def _code_point_json(cp: asym.CodePoint) -> dict:
-    return {"delta": asym.rational_to_json(cp.delta),
-            "R": asym.rational_to_json(cp.r)}
-
-
-def _asym_point_json(pt: asym.AsymptoticPoint) -> dict:
-    return {"kappa": asym.rational_to_json(pt.kappa),
-            "chi": asym.rational_to_json(pt.chi)}
-
-
 def cmd_asym_map(args) -> int:
     kappa_s, chi_s = args.point.split(",")
     pt = asym.asym_point(kappa_s, chi_s)
     cp = asym.phi_g(args.q, args.g, pt)
-    payload = _code_point_json(cp)
+    payload = cp.to_json_dict()
     payload.update({f"in_domain_{k}": v
                     for k, v in asym.domain_membership(args.q, pt).items()})
     payload.update(asym.code_bound_checks(args.q, cp))
@@ -175,11 +165,7 @@ def cmd_asym_map(args) -> int:
 
 def cmd_asym_polygon(args) -> int:
     poly = asym.polygon_image(args.q, args.g)
-    payload = {}
-    for name, val in poly.items():
-        payload[name] = (_asym_point_json(val) if isinstance(val, asym.AsymptoticPoint)
-                         else _code_point_json(val))
-    return _emit(args, payload)
+    return _emit(args, {name: pt.to_json_dict() for name, pt in poly.items()})
 
 
 def cmd_asym_diagram(args) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -422,14 +423,19 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
     total = len(g1_range) * len(g2_range) * len(rho_range)
     if total > SEARCH_CANDIDATE_BUDGET:
         raise BudgetExceeded(f"{total} candidates exceed {SEARCH_CANDIDATE_BUDGET}")
-    cands = sorted((a, b, r) for a in g1_range for b in g2_range for r in rho_range)
 
-    def feasible(a, b, r):
-        return (2 * a + 2 <= q and b + 1 <= (q * q - q) // 2
-                and a >= 2 and b >= 2 and r >= 1)
+    def counted(values, ok):
+        # the feasible values in order, each with its multiplicity
+        return sorted(Counter(v for v in values if ok(v)).items())
 
+    # feasibility is a condition on each coordinate alone, so the feasible
+    # candidates are the product of the feasible values of each coordinate
+    candidates = itertools.product(
+        counted(g1_range, lambda a: a >= 2 and 2 * a + 2 <= q),
+        counted(g2_range, lambda b: b >= 2 and b + 1 <= (q * q - q) // 2),
+        counted(rho_range, lambda r: r >= 1))
     sides_c, sides_d, invariants, certs = {}, {}, {}, []
-    for a, b, r in (c for c in cands if feasible(*c)):
+    for (a, ma), (b, mb), (r, mr) in candidates:
         if a not in sides_c:
             sides_c[a] = _side(sample_branch_poly(q, 2 * a + 2, "linear", seed))
         if b not in sides_d:
@@ -438,5 +444,5 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
             invariants[a, b] = _checked_invariants(sides_c[a][2], sides_d[b][2])
         cert = _certify(q, r, sides_c[a], sides_d[b], invariants[a, b])
         if cert.gs_pass:
-            certs.append(cert)
+            certs += [cert] * (ma * mb * mr)
     return certs

@@ -19,11 +19,15 @@ Polynomial product, division, modular power and evaluation over F_p have
 their per-coefficient schoolbook loops here, one FieldSpec.add/sub/mul call
 per coefficient pair; schoolbook_kernels() routes gf through them, so gcds,
 distinct-degree splits and factorizations can be recomputed on them.
+
+The ample class for the Riemann-Roch lower bound has its earlier scan here:
+the whole box -10..10 in each coordinate on a rank-2 lattice.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -33,6 +37,7 @@ import numpy as np
 
 from surfcodes import codes as cd
 from surfcodes import f2, gf
+from surfcodes import surfaces as sf
 from surfcodes.towers import FrobeniusModule, NotEnoughFactors
 
 
@@ -361,3 +366,23 @@ def schoolbook_kernels():
     finally:
         (gf.Polynomial.__mul__, gf.Polynomial.__divmod__,
          gf.poly_pow_mod, gf.poly_eval) = saved
+
+
+@lru_cache(maxsize=None)
+def _box_ample_classes(surface: sf.SurfaceModel) -> list:
+    # the box in scan order, kept to its ample classes, each with K.H
+    k, box = surface.canonical, 10
+    if surface.ns_rank == 1:
+        candidates = [surface.divisor(a) for a in range(1, box + 1)]
+    else:
+        candidates = [surface.divisor(a, b)
+                      for a in range(-box, box + 1) for b in range(-box, box + 1)]
+    return [(h, sf.intersect(k, h)) for h in candidates
+            if sf.ampleness_flags(surface, h).ample]
+
+
+def box_ample_h(surface: sf.SurfaceModel, g: sf.DivisorClass):
+    """The first ample H with G.H > K.H, scanning 1..10 on P^2 and
+    -10..10 in each coordinate otherwise; None if the box has none."""
+    return next((h for h, kh in _box_ample_classes(surface)
+                 if sf.intersect(g, h) > kh), None)

@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from surfcodes import asymptotic as am
-from surfcodes.asymptotic import (CodePoint, GOutOfRange, InfiniteInput,
+from surfcodes.asymptotic import (AsymptoticPoint, CodePoint, GOutOfRange,
                                   InvalidGenus, asym_point, code_bound_checks,
                                   domain_membership, emit_diagram, phi_g,
                                   polygon_image, product_curve_point)
@@ -32,8 +34,9 @@ class TestPhiG:
             phi_g(5, 1, asym_point(0, 0))
 
     def test_infinite_input(self):
-        with pytest.raises(InfiniteInput):
-            phi_g(3, 2, am.AsymptoticPoint(math.inf, Fraction(0)))
+        # points are exact: a float, infinity included, is refused up front
+        with pytest.raises(ValueError):
+            AsymptoticPoint(math.inf, 0)
 
     def test_affine_on_random_rational_pairs(self):
         rng = random.Random(14)
@@ -50,6 +53,30 @@ class TestPhiG:
                 mixed = phi_g(q, g, mix)
                 assert mixed.delta == t * img1.delta + (1 - t) * img2.delta
                 assert mixed.r == t * img1.r + (1 - t) * img2.r
+
+
+class TestPoints:
+    def test_fractions_kept_as_given(self):
+        kappa, chi = Fraction(1, 9), Fraction(-1, 4)
+        pt = AsymptoticPoint(kappa, chi)
+        assert pt.kappa is kappa and pt.chi is chi
+
+    def test_exact_values_coerced(self):
+        assert AsymptoticPoint("1/9", 0) == asym_point(Fraction(1, 9), Fraction(0))
+        assert isinstance(AsymptoticPoint(1, 2).chi, Fraction)
+
+    @pytest.mark.parametrize("kappa,chi", [(0.5, 0), (0, 0.25), (0, -math.inf),
+                                           (-1, 0), ("-1/9", 0)])
+    def test_refused(self, kappa, chi):
+        with pytest.raises(ValueError):
+            AsymptoticPoint(kappa, chi)
+        with pytest.raises(ValueError):
+            asym_point(kappa, chi)
+
+    def test_json(self):
+        assert asym_point("1/9", 0).to_json_dict() == {"kappa": "1/9", "chi": "0/1"}
+        assert CodePoint(Fraction(-2), Fraction(3, 6)).to_json_dict() == \
+            {"delta": "-2/1", "R": "1/2"}
 
 
 class TestDomainChecks:
@@ -189,3 +216,37 @@ class TestDiagram:
     def test_grid_n_guard(self, tmp_path):
         with pytest.raises(ValueError):
             emit_diagram(2, 2, 1, str(tmp_path / "d.csv"))
+
+    # sha256 of d.csv and d.svg, computed before the diagram was written in
+    # one pass; the CSV is the same with and without the SVG
+    PINNED = {
+        (2, 2, 100): ("9359f5f359ff3196786006039a4bed0f3d71c8d7e79e6453c806ac2d6c642b34",
+                      "4f78d667665549f75e940807dd5800a59ead9754afaa8b4778b6f12cdb581819"),
+        (3, 2, 37): ("07510ceb5dc3b12bea48262323be1fd02d1b472efa3ceca48314d2aa878d9c2e",
+                     "5038302be85f95a6e88eedde7a32a76f4085aa9c8f4ebdf1220c1cf518932811"),
+        (5, 4, 2): ("21253ef2a0494ccd47b7af9318983c952658d5e731517933eb10aa9fd5cf60d2",
+                    "b70f984602387b158d7516102053c4f8973395cd94923549c5adfd9da3a7d71b"),
+        (7, 3, 200): ("44ea97dc6345188a9119e2118083d0d8d5f24c03976617a291a15beb221fe4ab",
+                      "f55c73f0ed10b2f40964d500aaf919486025e81d907409765617f40eb656dcc2"),
+    }
+
+    @pytest.mark.parametrize("q,g,n", sorted(PINNED))
+    def test_files_pinned(self, tmp_path, q, g, n):
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+        want_csv, want_svg = self.PINNED[q, g, n]
+        emit_diagram(q, g, n, str(tmp_path / "a.csv"))
+        emit_diagram(q, g, n, str(tmp_path / "b.csv"), str(tmp_path / "b.svg"))
+        assert (sha256(tmp_path / "a.csv"), sha256(tmp_path / "b.csv"),
+                sha256(tmp_path / "b.svg")) == (want_csv, want_csv, want_svg)
+
+    def test_memory_flat_in_grid(self, tmp_path):
+        # each sample is written as soon as it is computed: 6,404 samples
+        # with the SVG keep nothing per sample
+        tracemalloc.start()
+        try:
+            emit_diagram(2, 2, 80, str(tmp_path / "d.csv"), str(tmp_path / "d.svg"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

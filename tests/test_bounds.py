@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import itertools
+
 import pytest
 
+from oracles import box_ample_h
 from surfcodes import surfaces as sf
-from surfcodes.bounds import (InvalidDegree, InvalidEpsilon, InvalidXi,
+from surfcodes.bounds import (_find_ample_h, InvalidDegree, InvalidEpsilon, InvalidXi,
                               NegativeIntersection, NotVeryAmple, aubry_bound,
                               gamma_square_check, hansen_curve_bound,
                               hansen_curve_bound_uniform, hansen_seshadri_bound,
@@ -221,6 +224,20 @@ class TestParameterReport:
                     s1 = hansen_seshadri_bound(n, lsq, epsilon=eps)
                     if s1 <= ours:
                         assert eps <= upper
+
+
+def test_ample_scan_matches_box_scan():
+    # every catalog ample class has positive coordinates, so scanning 1..10
+    # finds the class the whole -10..10 box found first: 4,400 divisors
+    surfaces = [sf.projective_plane(), sf.quadric_p1xp1(),
+                *(sf.hirzebruch(e) for e in range(5)), sf.curve_product(2, 3, 5, 7)]
+    checked = 0
+    for s in surfaces:
+        for coords in itertools.product(range(-12, 13), repeat=s.ns_rank):
+            g = s.divisor(*coords)
+            assert _find_ample_h(s, g) == box_ample_h(s, g), (s, coords)
+            checked += 1
+    assert checked == 4400
 
 
 class TestLiftedBound:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -577,6 +578,51 @@ class TestAsymCommands:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "kappa,chi,delta,R,in_domain,singleton_ok,plotkin_ok"
+
+    def test_diagram_same_file_exit_2(self, capsys, tmp_path, monkeypatch):
+        # the SVG would overwrite the CSV; refused before either is opened
+        monkeypatch.chdir(tmp_path)
+        for svg in ("d.csv", "./d.csv", str(tmp_path / "d.csv")):
+            code, payload = run_json(capsys, "asym", "diagram", "--q", "2",
+                                     "--g", "2", "--out", "d.csv", "--svg", svg)
+            assert code == 2
+            assert payload["error"]["kind"] == "precondition"
+            assert not any(tmp_path.iterdir())
+
+    # sha256 of stdout, computed before the points serialized themselves
+    MAP_POINTS = ("1/9,0", "0,5/7", "1/6,0", "1/9,1/18", "3/2,-1/4")
+    PINNED_MAP = {
+        (2, 2): ("eeb934ef1c69e68f6c8d3224f223bc62012edeff251a6ea51a04c4eee7e22401",
+                 "76ff3d2fbb6f18bace5959e8133d9959847e07414364ed493e3c6a3ca315d2f1",
+                 "7f1006aeacd2c1d29936140553bb8dc4e02a89615feb7888cf354f2f614cdc9b",
+                 "5ae8d11add085932cd2ca23025f963f33323c4a676abcf67d6b9e9c56f6f75c7",
+                 "b912fff0702220a75308dba4fcc5a6649a351133e3b96ac1a4e52d7c049fbd3f"),
+        (5, 3): ("c0a6768a44df6ba27498997806de6fe442c984d1e35fa455e3169a5f8dc90e15",
+                 "76ff3d2fbb6f18bace5959e8133d9959847e07414364ed493e3c6a3ca315d2f1",
+                 "7513224cbb04fdf21695c9cd4fa005ce0b7cd3c2cab2cfce6231e1b163ff76cf",
+                 "96e088b8692b95af8c05f37ca3ea561174d1efd11c297651b4389b2170a09f03",
+                 "883a1e9637098e69910409c3f39559125c00650fbac567b8bcef2a37ef683544"),
+        (9, 9): ("0a09a720a3a3ac278ab2c3889ea11634b505b8e8dea2735e8c3f7b64eb0cbec8",
+                 "76ff3d2fbb6f18bace5959e8133d9959847e07414364ed493e3c6a3ca315d2f1",
+                 "7801ff911357ce7c77a5c67ec3f18e62807d95c14a6f18ab3199f14d1933d9e9",
+                 "c2e9a018ff4e99e1e46abb98c7f15352bfca937f743c1d6476270fb4dc60062f",
+                 "4333015c4685414a94897a3cf4f8f86e5fe5519006fd118a818764e7c5ae44ec"),
+    }
+    PINNED_POLYGON = {
+        (2, 2): "5db5806cd33f9fbb040d0ed14164b1bad29da50ce0f1bf2fff3a0b7cc579d4d2",
+        (5, 3): "b1429b584fb5cb40f849937f81480b76259496a992c81086e7bfaeea5189edb4",
+        (9, 9): "757cf5585337917b498db76ade02af514f0fbce015c884546904471d0cd6b9d1",
+    }
+
+    @pytest.mark.parametrize("q,g", sorted(PINNED_POLYGON))
+    def test_map_and_polygon_pinned(self, capsys, q, g):
+        def digest(*argv):
+            code, out = run(capsys, "asym", *argv, f"--q={q}", f"--g={g}")
+            assert code == 0
+            return hashlib.sha256(out.encode()).hexdigest()
+        assert tuple(digest("map", f"--point={p}")
+                     for p in self.MAP_POINTS) == self.PINNED_MAP[q, g]
+        assert digest("polygon") == self.PINNED_POLYGON[q, g]
 
     def test_map_precondition(self, capsys):
         code, _ = run_json(capsys, "asym", "map", "--q", "2", "--g", "5",

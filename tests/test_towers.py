@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -442,6 +444,30 @@ class TestCertificates:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+    def test_infeasible_search_lists_nothing(self):
+        # 10^6 candidates, none feasible at q = 3: the product is walked
+        # without being listed or sorted
+        tracemalloc.start()
+        try:
+            certs = search_parameters(3, range(1000), range(1000), range(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certs == []
+        assert peak < 1 << 20
+
+    def test_search_repeats_duplicate_genera(self):
+        # unsorted ranges with repeats: each passing certificate appears once
+        # per (g1, g2, rho) combination, as computed when the search still
+        # sorted the whole product
+        certs = search_parameters(67, [30, 29, 30, 33], [30, 29, 29], [2, 1, 1], 1)
+        assert [(c.g1, c.g2, c.rho) for c in certs] == \
+            [(30, 29, 1)] * 8 + [(30, 30, 1)] * 4
+        digest = hashlib.sha256(
+            json.dumps([c.to_json_dict() for c in certs]).encode()).hexdigest()
+        assert digest == "9a5adda58ffbf03ca5a34288844cc467d6ea458eda2ed329ceab80444f646944"
 
 
 class TestSearchReuse:
