@@ -23,22 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .codes import BudgetExceeded
-from .gf import InvariantError
+from .errors import BudgetExceeded, InvariantError, Precondition
 
 RationalLike = Union[Fraction, int, str]
 
 # each sample is written as soon as it is computed, so memory stays flat in
 # the grid; the budget bounds the running time
 MAX_DIAGRAM_SAMPLES = 250_000
-
-
-class GOutOfRange(ValueError):
-    pass
-
-
-class InvalidGenus(ValueError):
-    pass
 
 
 def rational_to_json(x: Fraction) -> str:
@@ -54,11 +45,11 @@ class AsymptoticPoint:
     def __post_init__(self):
         for name, v in (("kappa", self.kappa), ("chi", self.chi)):
             if isinstance(v, float):
-                raise ValueError(f"{name} must be exact, got the float {v}")
+                raise Precondition(f"{name} must be exact, got the float {v}")
             if not isinstance(v, Fraction):
                 object.__setattr__(self, name, Fraction(v))
         if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+            raise Precondition("kappa must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {"kappa": rational_to_json(self.kappa),
@@ -81,7 +72,7 @@ def asym_point(kappa: RationalLike, chi: RationalLike) -> AsymptoticPoint:
 def phi_g(q: int, g: int, pt: AsymptoticPoint) -> CodePoint:
     """The affine map into the code domain; relevant range 2 <= g <= q."""
     if not 2 <= g <= q:
-        raise GOutOfRange(f"need 2 <= g <= q, got g = {g}, q = {q}")
+        raise Precondition(f"need 2 <= g <= q, got g = {g}, q = {q}")
     delta = 1 - g * (q + 1) * pt.kappa
     r = Fraction(g * (g - 1), 2) * pt.kappa + pt.chi
     return CodePoint(delta, r)
@@ -111,7 +102,7 @@ def polygon_image(q: int, g: int) -> dict:
     forms, e.g. A2 = (1 - g/(q+1), (g^2-g)/(2(q+1)^2)).
     """
     if not 2 <= g <= q:
-        raise GOutOfRange(f"need 2 <= g <= q, got g = {g}, q = {q}")
+        raise Precondition(f"need 2 <= g <= q, got g = {g}, q = {q}")
     qq = (q + 1) ** 2
     gq = g * (q + 1)
     corners = {
@@ -145,9 +136,9 @@ def product_curve_point(q: int, g1: int, g2: int, n1: int, n2: int) -> dict:
     false for L < 0 and otherwise equivalent to L^2 >= 4 kappa^2 q.
     """
     if g1 < 3 or g2 < 3:
-        raise InvalidGenus("the product construction assumes genera >= 3")
+        raise Precondition("the product construction assumes genera >= 3")
     if n1 < 1 or n2 < 1:
-        raise ValueError("point counts must be >= 1")
+        raise Precondition("point counts must be >= 1")
     kappa = Fraction(8 * (g1 - 1) * (g2 - 1), n1 * n2)
     chi = kappa / 8
     lhs = kappa * (q + 1) - 8
@@ -171,17 +162,17 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
     flags as true/false.  Optionally renders an SVG of the image domain, one
     point per sample.  Each sample is written as soon as it is computed.
     Every refusal comes before any file is opened: more than
-    MAX_DIAGRAM_SAMPLES grid samples raise BudgetExceeded, and a CSV and SVG
-    path naming the same file raise ValueError."""
+    MAX_DIAGRAM_SAMPLES grid samples raise BudgetExceeded, and g outside
+    2..q or a CSV and SVG path naming the same file raise Precondition."""
     if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+        raise Precondition(f"grid_n must be >= 2, got {grid_n}")
     if grid_n * grid_n > MAX_DIAGRAM_SAMPLES:
         raise BudgetExceeded(f"{grid_n}^2 diagram samples exceed {MAX_DIAGRAM_SAMPLES}")
+    poly = polygon_image(q, g)          # checks 2 <= g <= q before dividing by g
     kmax = Fraction(2, g * (q + 1))
     cmax = Fraction(1, g * (q + 1))
-    poly = polygon_image(q, g)
     if svg_path and os.path.realpath(svg_path) == os.path.realpath(path):
-        raise ValueError(f"the CSV and the SVG would both be written to {path!r}")
+        raise Precondition(f"the CSV and the SVG would both be written to {path!r}")
     samples = itertools.chain(
         (AsymptoticPoint(kmax * i / (grid_n - 1), cmax * j / (grid_n - 1))
          for i in range(grid_n) for j in range(grid_n)),

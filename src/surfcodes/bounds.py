@@ -20,40 +20,28 @@ from typing import Optional, Sequence
 
 from . import codes as cd
 from . import surfaces as sf
-
-
-class NotVeryAmple(ValueError):
-    pass
-
-
-class NegativeIntersection(ValueError):
-    pass
-
-
-class InvalidEpsilon(ValueError):
-    pass
-
-
-class InvalidXi(ValueError):
-    pass
-
-
-class InvalidDegree(ValueError):
-    pass
+from .errors import BudgetExceeded, Precondition
 
 
 # ---------------------------------------------------------------------------
 # Individual bounds
 # ---------------------------------------------------------------------------
 
+def _require_very_ample(surface: sf.SurfaceModel, d: sf.DivisorClass,
+                        name: str, where: str = "") -> None:
+    """Refuse d unless the catalog decides it very ample; the message reads
+    "<name> = <coords> is undecided" or "... is not very ample", then where."""
+    flags = sf.ampleness_flags(surface, d)
+    if flags.very_ample is not True:
+        state = "undecided" if flags.very_ample is None else "not very ample"
+        raise Precondition(f"{name} = {d.coords} is {state}{where}")
+
+
 def universal_gamma(surface: sf.SurfaceModel, l: sf.DivisorClass, q: int,
                     affine_chart: bool = False) -> sf.DivisorClass:
     """(q+1)L, or qL when the caller asserts the evaluation set avoids a
     member of |L| (affine chart); L must be very ample."""
-    flags = sf.ampleness_flags(surface, l)
-    if flags.very_ample is not True:
-        state = "undecided" if flags.very_ample is None else "not very ample"
-        raise NotVeryAmple(f"L = {l.coords} is {state} on {surface.kind}")
+    _require_very_ample(surface, l, "L", f" on {surface.kind}")
     return (q if affine_chart else q + 1) * l
 
 
@@ -69,10 +57,7 @@ def gamma_square_check(gamma: sf.DivisorClass, n: int) -> bool:
 
 def aubry_bound(n: int, q: int, d: sf.DivisorClass) -> int:
     """d >= n - (q+1) D^2 for a very ample D."""
-    flags = sf.ampleness_flags(d.surface, d)
-    if flags.very_ample is not True:
-        state = "undecided" if flags.very_ample is None else "not very ample"
-        raise NotVeryAmple(f"D = {d.coords} is {state}")
+    _require_very_ample(d.surface, d, "D")
     return n - (q + 1) * sf.intersect(d, d)
 
 
@@ -82,7 +67,7 @@ def hansen_curve_bound(n: int, l_contained: int, point_cap: int,
     the evaluation set, each has at most N rational points, and at most l of
     them fit inside the zero set of a single section."""
     if any(v < 0 for v in lc_list):
-        raise NegativeIntersection("all L.C_i must be >= 0")
+        raise Precondition("all L.C_i must be >= 0")
     return n - l_contained * point_cap - sum(lc_list)
 
 
@@ -91,9 +76,9 @@ def hansen_curve_bound_uniform(n: int, l_contained: int, point_cap: int,
     """Sharper form when L.C_i = eta <= N for every curve:
     n - l*N - (a - l)*eta."""
     if eta < 0:
-        raise NegativeIntersection("eta must be >= 0")
+        raise Precondition("eta must be >= 0")
     if eta > point_cap:
-        raise NegativeIntersection(f"eta = {eta} exceeds the point cap {point_cap}")
+        raise Precondition(f"eta = {eta} exceeds the point cap {point_cap}")
     return n - l_contained * point_cap - (num_curves - l_contained) * eta
 
 
@@ -104,14 +89,14 @@ def hansen_seshadri_bound(n: int, l_sq: int, *,
     bound epsilon on the Seshadri constant, or n - xi*L^2 when L^xi twisted
     by the point ideal is globally generated.  Exactly one of epsilon/xi."""
     if (epsilon is None) == (xi is None):
-        raise ValueError("pass exactly one of epsilon (S1) or xi (S2)")
+        raise Precondition("pass exactly one of epsilon (S1) or xi (S2)")
     if epsilon is not None:
         eps = Fraction(epsilon)
         if eps <= 0:
-            raise InvalidEpsilon(f"epsilon must be positive, got {epsilon}")
+            raise Precondition(f"epsilon must be positive, got {epsilon}")
         return floor(n - Fraction(l_sq) / eps)
     if xi < 1:
-        raise InvalidXi(f"xi must be >= 1, got {xi}")
+        raise Precondition(f"xi must be >= 1, got {xi}")
     return n - xi * l_sq
 
 
@@ -119,7 +104,7 @@ def seshadri_upper(gamma_dot_g: int, n: int) -> Fraction:
     """Gamma.G / n, an upper bound for the Seshadri constant at the
     evaluation set whenever Gamma interpolates it."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise Precondition("n must be >= 1")
     return Fraction(gamma_dot_g, n)
 
 
@@ -252,7 +237,7 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
     try:
         report.entries.append(BoundEntry(
             "aubry", aubry_bound(n, q, g), True, f"G = {g.coords} is very ample"))
-    except NotVeryAmple as exc:
+    except Precondition as exc:       # G is not very ample
         report.entries.append(BoundEntry("aubry", None, False, str(exc)))
 
     # Hansen (S), caller-supplied data only
@@ -266,7 +251,7 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
         try:
             report.entries.append(BoundEntry(
                 name, hansen_seshadri_bound(n, l_sq, **data), True, reason))
-        except (InvalidEpsilon, InvalidXi) as exc:
+        except Precondition as exc:   # epsilon <= 0 or xi < 1
             report.entries.append(BoundEntry(name, None, False, str(exc)))
 
     # grid-specific bound
@@ -296,7 +281,7 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
             code = cd.build_code(surface, g, q, tag, grid)
             d_exact = cd.exact_min_distance(code, exact_budget)
             report.exact = {"k": code.k, "d": d_exact}
-        except cd.BudgetExceeded:
+        except BudgetExceeded:
             report.exact = None
     return report
 
@@ -307,10 +292,10 @@ def lifted_bound(report: BoundReport, deg: int) -> BoundReport:
     interpolating value scales by deg and the relative bound is unchanged.
     The other entries do not transport from base data alone."""
     if deg < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {deg}")
+        raise Precondition(f"degree must be >= 1, got {deg}")
     inter = report.entry("interpolating")
     if inter is None or not inter.applicable:
-        raise InvalidDegree("report carries no applicable interpolating bound to lift")
+        raise Precondition("report carries no applicable interpolating bound to lift")
     out = BoundReport(n=deg * report.n, k_lower=None)
     for e in report.entries:
         if e.name == "interpolating":

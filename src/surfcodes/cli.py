@@ -1,11 +1,14 @@
 """Command-line surface over the library: verb-noun subcommands with JSON on
 stdout (or --out), deterministic seeds, and budget guards.
 
-Exit codes: 0 success, 1 internal error (a failed invariant or closed-form
-cross-check, or any other unexpected exception: a bug), 2 precondition
-violation, 3 budget exceeded, 4 I/O error.  On failure, usage errors
-included, a structured {"error": {...}} JSON is printed and the process
-exits nonzero.
+Exit codes: 0 success, 1 internal error, 2 precondition violation, 3 budget
+exceeded, 4 I/O error.  The library's three exception types
+(surfcodes.errors) carry exit codes 2, 3 and 1, and an OSError is exit 4.
+Any other exception, a ValueError or ZeroDivisionError included, is a bug:
+kind "internal", exit 1, traceback on stderr.  Text the user gives (integer
+lists, ranges, rationals, the --point pair) is parsed here, so its errors
+are Preconditions too.  On failure, usage errors included, a structured
+{"error": {...}} JSON is printed and the process exits nonzero.
 """
 
 from __future__ import annotations
@@ -19,38 +22,28 @@ from typing import Optional
 from . import asymptotic as asym
 from . import bounds as bd
 from . import codes as cd
-from . import gf
 from . import surfaces as sf
 from . import towers as tw
+from .errors import BudgetExceeded, InvariantError, Precondition
 
 DEFAULT_SEED = 1
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_PRECONDITION = 2
-EXIT_BUDGET = 3
 EXIT_IO = 4
-
-
-class CliError(Exception):
-    def __init__(self, code: int, kind: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.kind = kind
 
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors end in the same JSON as every other failure."""
 
     def error(self, message):
-        raise CliError(EXIT_PRECONDITION, "parse", f"{self.prog}: {message}")
+        raise Precondition(f"{self.prog}: {message}", kind="parse")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, "parse", f"bad integer list {text!r}: {exc}")
+        raise Precondition(f"bad integer list {text!r}: {exc}", kind="parse")
 
 
 def _parse_range(text: str) -> range:
@@ -62,7 +55,14 @@ def _parse_range(text: str) -> range:
         v = int(text)
         return range(v, v + 1)
     except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, "parse", f"bad range {text!r}: {exc}")
+        raise Precondition(f"bad range {text!r}: {exc}", kind="parse")
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise Precondition(str(exc)) from exc
 
 
 def _surface_from_args(args) -> sf.SurfaceModel:
@@ -73,11 +73,11 @@ def _surface_from_args(args) -> sf.SurfaceModel:
         return sf.quadric_p1xp1()
     if kind in ("hirzebruch", "sigma"):
         if args.e is None:
-            raise CliError(EXIT_PRECONDITION, "surface",
-                           "--e is required for a Hirzebruch surface")
+            raise Precondition("--e is required for a Hirzebruch surface",
+                               kind="surface")
         return sf.hirzebruch(args.e)
-    raise CliError(EXIT_PRECONDITION, "surface",
-                   f"unknown surface {args.surface!r} (use p2, p1xp1, hirzebruch)")
+    raise Precondition(f"unknown surface {args.surface!r} (use p2, p1xp1, hirzebruch)",
+                       kind="surface")
 
 
 def _grid_from_args(args, q: int):
@@ -128,7 +128,7 @@ def cmd_bounds(args) -> int:
         surface, divisor, args.q,
         gamma=args.gamma, tag=args.points, grid=grid,
         exact_budget=args.budget if args.exact else None,
-        epsilon=Fraction(args.epsilon) if args.epsilon else None,
+        epsilon=_parse_rational(args.epsilon) if args.epsilon else None,
         xi=args.xi)
     if args.lift != 1:
         report = bd.lifted_bound(report, args.lift)
@@ -153,8 +153,11 @@ def cmd_tower_search(args) -> int:
 # -- asym ---------------------------------------------------------------------
 
 def cmd_asym_map(args) -> int:
-    kappa_s, chi_s = args.point.split(",")
-    pt = asym.asym_point(kappa_s, chi_s)
+    try:
+        kappa_s, chi_s = args.point.split(",")
+    except ValueError as exc:                     # not exactly one comma
+        raise Precondition(str(exc)) from exc
+    pt = asym.asym_point(_parse_rational(kappa_s), _parse_rational(chi_s))
     cp = asym.phi_g(args.q, args.g, pt)
     payload = cp.to_json_dict()
     payload.update({f"in_domain_{k}": v
@@ -277,26 +280,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:                     # --help
         return int(exc.code or 0)
-    except CliError as exc:
+    except (Precondition, BudgetExceeded, InvariantError) as exc:
         sys.stdout.write(_error_json(exc.kind, str(exc)))
-        return exc.code
-    except cd.BudgetExceeded as exc:
-        sys.stdout.write(_error_json("budget", str(exc)))
-        return EXIT_BUDGET
-    except gf.InvariantError as exc:
-        sys.stdout.write(_error_json("internal", str(exc)))
-        return EXIT_INTERNAL
+        return exc.exit_code
     except OSError as exc:
         sys.stdout.write(_error_json("io", str(exc)))
         return EXIT_IO
-    except (ValueError, ZeroDivisionError) as exc:
-        sys.stdout.write(_error_json("precondition", str(exc)))
-        return EXIT_PRECONDITION
     except Exception as exc:                      # a library bug
         import traceback                          # not loaded at start-up
         traceback.print_exc()
         sys.stdout.write(_error_json("internal", f"{type(exc).__name__}: {exc}"))
-        return EXIT_INTERNAL
+        return InvariantError.exit_code
 
 
 if __name__ == "__main__":

@@ -34,24 +34,13 @@ from typing import Optional, Sequence
 
 from . import gf
 from . import surfaces as sf
+from .errors import BudgetExceeded, Precondition
 
 DEFAULT_DISTANCE_BUDGET = 10_000_000
 MAX_POINTS = 10 ** 6
 MAX_KERNEL_CELLS = 1 << 20
 MAX_ROW_TABLE_CELLS = 1 << 25
 MAX_CODE_CELLS = 10 ** 7
-
-
-class UnsupportedSubset(ValueError):
-    pass
-
-
-class EmptySystem(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +78,7 @@ def grid_sides(surface: sf.SurfaceModel, q: int,
     field is built or a default side listed), q not a prime power, an entry
     outside F_q."""
     if surface.kind not in (sf.P1XP1, sf.HIRZEBRUCH):
-        raise UnsupportedSubset(f"grid points are not defined on {surface.kind}")
+        raise Precondition(f"grid points are not defined on {surface.kind}")
     if grid is None:
         grid = (range(q), range(q))
     # an ascending range is already sorted and distinct: count it unlisted
@@ -100,7 +89,7 @@ def grid_sides(surface: sf.SurfaceModel, q: int,
     a, b = tuple(a), tuple(b)
     for c in a + b:
         if not 0 <= c < q:
-            raise UnsupportedSubset(f"grid entry {c} is not an element of F_{q}")
+            raise Precondition(f"grid entry {c} is not an element of F_{q}")
     return a, b
 
 
@@ -118,9 +107,9 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
         a, b = grid_sides(surface, q, grid)
         return PointList("grid", tuple((x, y) for x in a for y in b), (a, b))
     if tag != "all":
-        raise UnsupportedSubset(f"unknown point tag {tag!r}")
+        raise Precondition(f"unknown point tag {tag!r}")
     if surface.kind not in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
-        raise UnsupportedSubset(
+        raise Precondition(
             f"{surface.kind} has no point enumeration (bounds only)")
     _check_point_budget(sf.point_count(surface, q))
     field = gf.field_from_order(q)
@@ -161,10 +150,10 @@ def section_count(surface: sf.SurfaceModel, g: sf.DivisorClass) -> int:
         m = min(v, u // e) if e else v
         count = (m + 1) * (u + 1) - e * m * (m + 1) // 2 if u >= 0 and v >= 0 else 0
     else:
-        raise sf.UnsupportedSurface(
+        raise Precondition(
             f"{surface.kind} has no section basis (bounds only)")
     if not count:
-        raise EmptySystem(f"no sections for divisor {g.coords} on {surface.kind}")
+        raise Precondition(f"no sections for divisor {g.coords} on {surface.kind}")
     return count
 
 
@@ -239,19 +228,19 @@ class LinearCode:
 
 def _require(d, key: str, kind: type):
     """d[key], which must exist and have type kind; anything else is a
-    ValueError naming the key."""
+    Precondition naming the key."""
     if not isinstance(d, dict) or key not in d:
-        raise ValueError(f"code JSON: missing key {key!r}")
+        raise Precondition(f"code JSON: missing key {key!r}")
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"code JSON: key {key!r} must be of type {kind.__name__}")
+        raise Precondition(f"code JSON: key {key!r} must be of type {kind.__name__}")
     return value
 
 
 def code_from_json_dict(d: dict) -> LinearCode:
     """Parse a code JSON document, validating it on the way: required keys
     and their types, the generator length, every entry in [0, q), and the
-    generator rows having rank exactly k.  Violations raise ValueError."""
+    generator rows having rank exactly k.  Violations raise Precondition."""
     fd = _require(d, "field", dict)
     _require(fd, "p", int)
     _require(fd, "m", int)
@@ -259,18 +248,18 @@ def code_from_json_dict(d: dict) -> LinearCode:
     field = gf.field_from_json(fd)
     n, k = _require(d, "n", int), _require(d, "k", int)
     if n < 1 or k < 0:
-        raise ValueError(f"code JSON: need n >= 1 and k >= 0, got n = {n}, k = {k}")
+        raise Precondition(f"code JSON: need n >= 1 and k >= 0, got n = {n}, k = {k}")
     flat = _require(d, "generator", list)
     if len(flat) != n * k:
-        raise ValueError(f"generator has {len(flat)} entries, expected {n * k}")
+        raise Precondition(f"generator has {len(flat)} entries, expected {n * k}")
     for x in flat:
         if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < field.q:
-            raise ValueError(f"code JSON: generator entry {x!r} is not an element "
-                             f"of F_{field.q}")
+            raise Precondition(f"code JSON: generator entry {x!r} is not an element "
+                               f"of F_{field.q}")
     rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(k))
     rank = matrix_rank(field, rows)
     if rank != k:
-        raise ValueError(f"code JSON: generator rows have rank {rank}, not k = {k}")
+        raise Precondition(f"code JSON: generator rows have rank {rank}, not k = {k}")
     try:
         surf = sf.surface_from_json(d["surface"]) if d.get("surface") else None
         divisor = tuple(int(c) for c in d["divisor"]) if d.get("divisor") else None
@@ -281,10 +270,14 @@ def code_from_json_dict(d: dict) -> LinearCode:
             tag, grid = "grid", (tuple(int(x) for x in g["A"]),
                                  tuple(int(x) for x in g["B"]))
     except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"code JSON: malformed metadata, "
-                         f"{type(exc).__name__}: {exc}") from exc
+        raise Precondition(f"code JSON: malformed metadata, "
+                           f"{type(exc).__name__}: {exc}") from exc
+    except Precondition:
+        raise
+    except (ValueError, OverflowError) as exc:    # int() of "a", NaN or Infinity
+        raise Precondition(str(exc)) from exc
     if tag != "all" and grid is None:
-        raise ValueError("code JSON: key 'point_tag' must be \"all\" or a grid")
+        raise Precondition("code JSON: key 'point_tag' must be \"all\" or a grid")
     return LinearCode(field=field, n=n, k=k, generator=rows,
                       section_count=section_count, surface=surf, divisor=divisor,
                       tag=tag, grid=grid)
@@ -292,7 +285,11 @@ def code_from_json_dict(d: dict) -> LinearCode:
 
 def load_code(path: str) -> LinearCode:
     with open(path, "r", encoding="utf-8") as fh:
-        return code_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:                 # not JSON, or not UTF-8
+            raise Precondition(str(exc)) from exc
+    return code_from_json_dict(doc)
 
 
 def matrix_rank(field: gf.FieldSpec, rows: Sequence[Sequence[int]]) -> int:
@@ -342,7 +339,7 @@ def build_code(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int,
     sections = section_count(surface, g)
     pts = rational_points(surface, q, tag, grid)
     if not pts.points:
-        raise EmptySystem("empty evaluation set")
+        raise Precondition("empty evaluation set")
     if sections * len(pts.points) > MAX_CODE_CELLS:
         raise BudgetExceeded(f"{sections} sections at {len(pts.points)} points "
                              f"exceed {MAX_CODE_CELLS} generator entries")
@@ -415,7 +412,7 @@ def exact_min_distance(code: LinearCode,
     code whose tables would be over budget before any table is built.
     """
     if code.k == 0:
-        raise EmptySystem("zero code has no minimum distance")
+        raise Precondition("zero code has no minimum distance")
     q, n, k = code.field.q, code.n, code.k
     total = enumeration_size(q, k)
     if total > budget:
@@ -460,7 +457,7 @@ def _locus_survivors(ell: int, q: int, m: int, budget: int
     the embedded P^ell(F_q), both as canonical-representative sets."""
     field = gf.field_from_order(q)
     if q ** m > gf.MAX_FIELD_SIZE:
-        raise gf.FieldTooLarge(f"{q}^{m} exceeds {gf.MAX_FIELD_SIZE}")
+        raise Precondition(f"{q}^{m} exceeds {gf.MAX_FIELD_SIZE}")
     ext, emb = gf.extension_field(field, m)
     npoints = (ext.q ** (ell + 1) - 1) // (ext.q - 1)
     if npoints > budget:

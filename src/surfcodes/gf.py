@@ -33,6 +33,8 @@ from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .errors import InvariantError, Precondition
+
 MAX_FIELD_SIZE = 65536
 MAX_TABLE_ORDER = 4096
 
@@ -40,31 +42,6 @@ MAX_TABLE_ORDER = 4096
 # output order is canonical (sorted) so the seed only affects internal work,
 # but fixing it keeps the work itself reproducible.
 FACTOR_SEED = 1729
-
-
-class NotPrime(ValueError):
-    """p is not prime (or q is not a prime power)."""
-
-
-class FieldTooLarge(ValueError):
-    """Requested field order exceeds 2^16."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Division or inversion of the zero element."""
-
-
-class EvenCharacteristic(ValueError):
-    """Operation requires odd q."""
-
-
-class ZeroPolynomial(ValueError):
-    """Operation rejects the zero polynomial."""
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant or closed-form cross-check does not hold; this
-    signals a bug, not bad input."""
 
 
 def prime_factors(n: int) -> list[int]:
@@ -100,16 +77,16 @@ class FieldSpec:
 
     def __init__(self, p: int, m: int):
         if m < 1:
-            raise NotPrime(f"exponent m must be >= 1, got {m}")
+            raise Precondition(f"exponent m must be >= 1, got {m}")
         # reject oversized input before the trial-division primality test
         # (and before computing p ** m for a huge m); p >= 2, m > 16 gives q > 2^16
         if p > MAX_FIELD_SIZE or (p >= 2 and m > 16):
-            raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_FIELD_SIZE}")
+            raise Precondition(f"q = {p}^{m} exceeds {MAX_FIELD_SIZE}")
         if prime_factors(p) != [p]:
-            raise NotPrime(f"{p} is not prime")
+            raise Precondition(f"{p} is not prime")
         q = p ** m
         if q > MAX_FIELD_SIZE:
-            raise FieldTooLarge(f"q = {p}^{m} = {q} exceeds {MAX_FIELD_SIZE}")
+            raise Precondition(f"q = {p}^{m} = {q} exceeds {MAX_FIELD_SIZE}")
         self.p = p
         self.m = m
         self.q = q
@@ -203,12 +180,12 @@ class FieldSpec:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero("inverse of 0")
+            raise Precondition("inverse of 0")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
-            raise DivisionByZero("division by 0")
+            raise Precondition("division by 0")
         if a == 0:
             return 0
         return self._exp[(self._log[a] - self._log[b]) % (self.q - 1)]
@@ -220,7 +197,7 @@ class FieldSpec:
                 return 0
             if e == 0:
                 return 1
-            raise DivisionByZero("0 raised to a negative power")
+            raise Precondition("0 raised to a negative power")
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def elements(self) -> range:
@@ -238,8 +215,8 @@ class FieldSpec:
         if self._np_add is None:
             import numpy as np
             if self.q > MAX_TABLE_ORDER:
-                raise FieldTooLarge(f"operation tables not built for q = {self.q} "
-                                    f"> {MAX_TABLE_ORDER}")
+                raise Precondition(f"operation tables not built for q = {self.q} "
+                                   f"> {MAX_TABLE_ORDER}")
             q, p = self.q, self.p
             # log a + log b < 2 (q - 1) <= 8190 indexes a doubled exp table
             exp2 = np.array(self._exp * 2, dtype=np.uint16)
@@ -286,12 +263,12 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
 def field_from_order(q: int) -> FieldSpec:
     """F_q from its order; q must be a prime power <= 2^16."""
     if q < 2:
-        raise NotPrime(f"{q} is not a prime power")
+        raise Precondition(f"{q} is not a prime power")
     if q > MAX_FIELD_SIZE:
-        raise FieldTooLarge(f"q = {q} exceeds {MAX_FIELD_SIZE}")
+        raise Precondition(f"q = {q} exceeds {MAX_FIELD_SIZE}")
     factors = prime_factors(q)
     if len(factors) != 1:
-        raise NotPrime(f"{q} is not a prime power")
+        raise Precondition(f"{q} is not a prime power")
     p, m = factors[0], 1
     while p ** m < q:
         m += 1
@@ -301,15 +278,15 @@ def field_from_order(q: int) -> FieldSpec:
 def field_from_json(d: dict) -> FieldSpec:
     spec = make_field(int(d["p"]), int(d["m"]))
     if list(spec.modulus) != list(d["modulus"]):
-        raise ValueError(f"non-canonical modulus {d['modulus']} for F_{spec.q}; "
-                         f"expected {list(spec.modulus)}")
+        raise Precondition(f"non-canonical modulus {d['modulus']} for F_{spec.q}; "
+                           f"expected {list(spec.modulus)}")
     return spec
 
 
 def quadratic_character(spec: FieldSpec, a: int) -> int:
     """0 if a = 0, +1 if a is a nonzero square, -1 otherwise.  Odd q only."""
     if spec.q % 2 == 0:
-        raise EvenCharacteristic("quadratic character needs odd q")
+        raise Precondition("quadratic character needs odd q")
     if a == 0:
         return 0
     return 1 if spec.pow(a, (spec.q - 1) // 2) == 1 else -1
@@ -324,7 +301,7 @@ def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
     in the extension, so the embedding is itself canonical.
     """
     if base.q ** k > MAX_FIELD_SIZE:
-        raise FieldTooLarge(f"{base.q}^{k} exceeds {MAX_FIELD_SIZE}")
+        raise Precondition(f"{base.q}^{k} exceeds {MAX_FIELD_SIZE}")
     ext = make_field(base.p, base.m * k)
     if base.m == 1:
         return ext, [a % base.p for a in range(base.q)]
@@ -432,7 +409,7 @@ class Polynomial:
     @property
     def leading(self) -> int:
         if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+            raise Precondition("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def encoding(self) -> int:
@@ -449,7 +426,7 @@ class Polynomial:
 
     def _check(self, other: "Polynomial") -> None:
         if self.field is not other.field and self.field != other.field:
-            raise ValueError("polynomials over different fields")
+            raise Precondition("polynomials over different fields")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -490,7 +467,7 @@ class Polynomial:
         self._check(other)
         F = self.field
         if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
+            raise Precondition("polynomial division by zero")
         if F.m == 1:
             quot, rem = _divmod_ints(self.coeffs, other.coeffs, F.p)
             return Polynomial(F, quot), Polynomial(F, rem)
@@ -733,7 +710,7 @@ def poly_factor(f: Polynomial) -> list[tuple[Polynomial, int]]:
     so the work is reproducible as well as the output.
     """
     if f.is_zero:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
+        raise Precondition("cannot factor the zero polynomial")
     rng = random.Random(FACTOR_SEED)
     fm = f.monic()
     out: list[tuple[Polynomial, int]] = []

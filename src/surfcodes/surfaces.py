@@ -19,28 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf import InvariantError
+from .errors import InvariantError, Precondition
 
 P2 = "P2"
 P1XP1 = "P1xP1"
 HIRZEBRUCH = "Hirzebruch"
 CURVE_PRODUCT = "CurveProduct"
-
-
-class InvalidParams(ValueError):
-    pass
-
-
-class SurfaceMismatch(ValueError):
-    pass
-
-
-class UnsupportedSurface(ValueError):
-    pass
-
-
-class PreconditionFailed(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -86,7 +70,7 @@ class DivisorClass:
 
     def __post_init__(self):
         if len(self.coords) != self.surface.ns_rank:
-            raise InvalidParams(
+            raise Precondition(
                 f"divisor needs {self.surface.ns_rank} coordinates, got {len(self.coords)}")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -113,7 +97,7 @@ class DivisorClass:
 
 def _same_surface(d: DivisorClass, e: DivisorClass) -> None:
     if d.surface != e.surface:
-        raise SurfaceMismatch("divisor classes live on different surfaces")
+        raise Precondition("divisor classes live on different surfaces")
 
 
 def projective_plane() -> SurfaceModel:
@@ -126,15 +110,15 @@ def quadric_p1xp1() -> SurfaceModel:
 
 def hirzebruch(e: int) -> SurfaceModel:
     if e < 0:
-        raise InvalidParams(f"Hirzebruch parameter e must be >= 0, got {e}")
+        raise Precondition(f"Hirzebruch parameter e must be >= 0, got {e}")
     return SurfaceModel(HIRZEBRUCH, (e,), ((0, 1), (1, -e)), (-(e + 2), -2), 1, 4)
 
 
 def curve_product(g_c: int, g_d: int, n_c: int, n_d: int) -> SurfaceModel:
     if g_c < 0 or g_d < 0:
-        raise InvalidParams("genera must be >= 0")
+        raise Precondition("genera must be >= 0")
     if n_c < 0 or n_d < 0:
-        raise InvalidParams("point counts must be >= 0")
+        raise Precondition("point counts must be >= 0")
     chi_o = (g_c - 1) * (g_d - 1)
     chi_et = (2 - 2 * g_c) * (2 - 2 * g_d)
     return SurfaceModel(CURVE_PRODUCT, (g_c, g_d, n_c, n_d), ((0, 1), (1, 0)),
@@ -151,7 +135,7 @@ def make_surface(kind: str, **params) -> SurfaceModel:
     if kind == CURVE_PRODUCT:
         return curve_product(int(params["g_c"]), int(params["g_d"]),
                              int(params["n_c"]), int(params["n_d"]))
-    raise InvalidParams(f"unknown surface kind {kind!r}")
+    raise Precondition(f"unknown surface kind {kind!r}")
 
 
 def surface_from_json(d: dict) -> SurfaceModel:
@@ -190,7 +174,7 @@ def ampleness_flags(surface: SurfaceModel, d: DivisorClass) -> AmpleFlags:
     undecided (None).
     """
     if d.surface != surface:
-        raise SurfaceMismatch("divisor is not on this surface")
+        raise Precondition("divisor is not on this surface")
     if surface.kind == P2:
         (deg,) = d.coords
         va = deg >= 1
@@ -211,7 +195,7 @@ def ampleness_flags(surface: SurfaceModel, d: DivisorClass) -> AmpleFlags:
         ample = a >= 1 and b >= 1
         bpf = a >= 2 * g_d and b >= 2 * g_c
         return AmpleFlags(ample, None if ample else False, bpf)
-    raise UnsupportedSurface(surface.kind)
+    raise Precondition(f"unsupported surface kind {surface.kind!r}")
 
 
 def riemann_roch_lower(surface: SurfaceModel, g: DivisorClass,
@@ -220,10 +204,10 @@ def riemann_roch_lower(surface: SurfaceModel, g: DivisorClass,
     with G.H > K.H certifies the vanishing of h^2."""
     flags = ampleness_flags(surface, h)
     if not flags.ample:
-        raise PreconditionFailed(f"H = {h.coords} is not ample")
+        raise Precondition(f"H = {h.coords} is not ample")
     k = surface.canonical
     if intersect(g, h) <= intersect(k, h):
-        raise PreconditionFailed(
+        raise Precondition(
             f"G.H = {intersect(g, h)} must exceed K.H = {intersect(k, h)}")
     prod = intersect(g, g - k)
     if prod % 2 != 0:
@@ -239,7 +223,7 @@ def point_count(surface: SurfaceModel, q: int) -> int:
     if surface.kind == CURVE_PRODUCT:
         _, _, n_c, n_d = surface.params
         return n_c * n_d
-    raise UnsupportedSurface(surface.kind)
+    raise Precondition(f"unsupported surface kind {surface.kind!r}")
 
 
 def noether_identity(surface: SurfaceModel) -> bool:

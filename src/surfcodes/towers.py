@@ -26,21 +26,9 @@ from typing import Sequence
 
 from . import f2
 from . import gf
-from .codes import BudgetExceeded
+from .errors import BudgetExceeded, InvariantError, Precondition
 
 SEARCH_CANDIDATE_BUDGET = 1_000_000
-
-
-class NotSquarefree(ValueError):
-    pass
-
-
-class OddDegree(ValueError):
-    pass
-
-
-class NotEnoughFactors(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +43,14 @@ class HyperellipticCurve:
 
     def __post_init__(self):
         if self.field.q % 2 == 0:
-            raise gf.EvenCharacteristic("hyperelliptic model needs odd q")
+            raise Precondition("hyperelliptic model needs odd q")
         if self.f.is_zero or self.f.degree % 2 != 0:
-            raise OddDegree(f"f must have even degree, got {self.f.degree}")
+            raise Precondition(f"f must have even degree, got {self.f.degree}")
         if self.f.degree < 6:
-            raise ValueError(f"degree {self.f.degree} < 6 means genus < 2")
+            raise Precondition(f"degree {self.f.degree} < 6 means genus < 2")
         d = gf.poly_gcd(self.f, self.f.derivative())
         if d.degree != 0:
-            raise NotSquarefree("f has a repeated root")
+            raise Precondition("f has a repeated root")
 
     @property
     def genus(self) -> int:
@@ -99,20 +87,20 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
     Random seeded with `seed`, so equal arguments give equal polynomials."""
     field = gf.field_from_order(q)
     if field.q % 2 == 0:
-        raise gf.EvenCharacteristic("branch polynomials need odd q")
+        raise Precondition("branch polynomials need odd q")
     if count < 0:
-        raise NotEnoughFactors(f"{kind} factor count must be >= 0, got {count}")
+        raise Precondition(f"{kind} factor count must be >= 0, got {count}")
     rng = random.Random(seed)
     if kind == "linear":
         if count > q:
-            raise NotEnoughFactors(f"only {q} linear factors exist, need {count}")
+            raise Precondition(f"only {q} linear factors exist, need {count}")
         roots = sorted(rng.sample(range(q), count))
         poly = gf.Polynomial.from_roots(field, roots)
     elif kind == "quadratic":
         half = (q - 1) // 2
         available = q * half
         if count > available:
-            raise NotEnoughFactors(
+            raise Precondition(
                 f"only {available} monic irreducible quadratics exist, need {count}")
         # t^2 + b t + c is irreducible over odd F_q iff b^2 - 4c is a
         # nonsquare.  As c runs over F_q so does b^2 - 4c, so every b has
@@ -129,7 +117,7 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
             for i in group:
                 poly = poly * field.poly((cs[i % half], b, 1))
     else:
-        raise ValueError(f"unknown factor kind {kind!r}")
+        raise Precondition(f"unknown factor kind {kind!r}")
     return poly
 
 
@@ -170,7 +158,7 @@ def module_from_cycle_type(cycles: Sequence[int]) -> FrobeniusModule:
     """
     n = sum(cycles)
     if n % 2 != 0 or n < 4:
-        raise OddDegree(f"cycle lengths must sum to an even number >= 4, got {n}")
+        raise Precondition(f"cycle lengths must sum to an even number >= 4, got {n}")
     dim = n - 2
     perm = list(range(n))
     start = 0
@@ -209,7 +197,7 @@ def _block_counts(module: FrobeniusModule, p: Sequence[int]) -> list[int]:
     power, prev, counts = pm, 0, []
     while (kdim := f2.kernel_dim(power, n)) > prev:
         if (kdim - prev) % deg:
-            raise gf.InvariantError(
+            raise InvariantError(
                 f"kernel growth {kdim - prev} is not a multiple of degree {deg}")
         counts.append((kdim - prev) // deg)
         prev, power = kdim, f2.matmul_rows(power, pm)
@@ -227,12 +215,12 @@ def tensor_invariant_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
     the reciprocal p*(x) = x^deg p * p(1/x), and with r_t the number of
     exponents >= t the inner sum is sum_t r_t(MC, p) * r_t(MD, p*).  Frobenius
     is invertible, and the pairing needs it: a singular module raises
-    ValueError.
+    Precondition.
     """
     for m in (mc, md):
         if f2.rank(m.rows, m.dim) < m.dim:
-            raise ValueError(f"singular {m.dim}-dimensional module: "
-                             "Frobenius must be invertible")
+            raise Precondition(f"singular {m.dim}-dimensional module: "
+                               "Frobenius must be invertible")
     cp = gf.Polynomial(gf.make_field(2, 1), f2.charpoly(mc.rows, mc.dim))
     total = 0
     for p, _ in gf.poly_factor(cp):
@@ -280,14 +268,14 @@ def r_t_upper(rho: int) -> int:
     """Upper bound 3 rho + 1 for the rank r_T of the 4 rho marked points in
     the degree-zero-cycle group mod 2."""
     if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
+        raise Precondition(f"rho must be >= 1, got {rho}")
     return 3 * rho + 1
 
 
 def r_t_bracket(t_size: int) -> tuple[int, int]:
     """General bracket 1 <= r_T <= #T for a nonempty marked set."""
     if t_size < 1:
-        raise ValueError("marked set must be nonempty")
+        raise Precondition("marked set must be nonempty")
     return 1, t_size
 
 
@@ -295,7 +283,7 @@ def marked_invariants(h2g_bar: int, t: int) -> dict:
     """Marked-cohomology dimension relations: h^2 - h^1 of the marked surface
     equals h2G + t - 1, and the marked Euler characteristic equals t."""
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise Precondition("t must be >= 0")
     return {"h2_minus_h1_marked": h2g_bar + t - 1, "chi_marked": t}
 
 
@@ -356,9 +344,9 @@ def _checked_invariants(mc: FrobeniusModule, md: FrobeniusModule) -> dict:
     h1g, h2g, g1, g2 = kd["h1G"], kd["h2G"], mc.g, md.g
     odd = g2 % 2
     if h1g != 2 * g1 + g2 + odd:
-        raise gf.InvariantError(f"h1G = {h1g} fails its closed-form cross-check")
+        raise InvariantError(f"h1G = {h1g} fails its closed-form cross-check")
     if h2g != 2 * g1 * (g2 + odd) + 2:
-        raise gf.InvariantError(f"h2G = {h2g} fails its closed-form cross-check")
+        raise InvariantError(f"h2G = {h2g} fails its closed-form cross-check")
     return kd
 
 
@@ -401,7 +389,7 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
     Hypothesis failures set condition flags rather than raising.
     """
     if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
+        raise Precondition(f"rho must be >= 1, got {rho}")
     f = sample_branch_poly(q, 2 * g1 + 2, "linear", seed)
     g = sample_branch_poly(q, g2 + 1, "quadratic", seed)
     side_c, side_d = _side(f), _side(g)
@@ -419,7 +407,7 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
     once per genus and the invariants once per (g1, g2); rho enters only the
     GS arithmetic."""
     if gf.field_from_order(q).q % 2 == 0:
-        raise gf.EvenCharacteristic("tower search needs odd q")
+        raise Precondition("tower search needs odd q")
     total = len(g1_range) * len(g2_range) * len(rho_range)
     if total > SEARCH_CANDIDATE_BUDGET:
         raise BudgetExceeded(f"{total} candidates exceed {SEARCH_CANDIDATE_BUDGET}")

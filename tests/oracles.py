@@ -38,7 +38,8 @@ import numpy as np
 from surfcodes import codes as cd
 from surfcodes import f2, gf
 from surfcodes import surfaces as sf
-from surfcodes.towers import FrobeniusModule, NotEnoughFactors
+from surfcodes.errors import BudgetExceeded, InvariantError, Precondition
+from surfcodes.towers import FrobeniusModule
 
 
 class TooLarge(RuntimeError):
@@ -130,7 +131,7 @@ def eigen_multiplicities(module: FrobeniusModule
         pm = f2.poly_eval_rows(p.coeffs, list(module.rows), n)
         kdim = f2.kernel_dim(pm, n)
         if kdim % p.degree != 0:
-            raise gf.InvariantError(
+            raise InvariantError(
                 f"kernel dimension {kdim} is not a multiple of degree {p.degree}")
         out.append((p, kdim // p.degree))
     return out
@@ -219,11 +220,11 @@ def blocked_min_distance(code: cd.LinearCode,
     index, stopping early once a codeword of weight <= 1 is found.
     """
     if code.k == 0:
-        raise cd.EmptySystem("zero code has no minimum distance")
+        raise Precondition("zero code has no minimum distance")
     q = code.field.q
     total = cd.enumeration_size(q, code.k)
     if total > budget:
-        raise cd.BudgetExceeded(
+        raise BudgetExceeded(
             f"enumeration needs {total} messages, budget is {budget}")
     add_t, mul_t = code.field.numpy_tables()
     gen_np = np.array(code.generator, dtype=np.uint16)
@@ -284,7 +285,7 @@ def listed_quadratic_poly(q: int, count: int, seed: int) -> gf.Polynomial:
     rng = random.Random(seed)
     available = (q * q - q) // 2
     if count > available:
-        raise NotEnoughFactors(
+        raise Precondition(
             f"only {available} monic irreducible quadratics exist, need {count}")
     # t^2 + b t + c irreducible over odd F_q iff b^2 - 4c is a nonsquare
     four = field.from_int(4)
@@ -316,7 +317,7 @@ def schoolbook_divmod(f: gf.Polynomial, g: gf.Polynomial
                       ) -> tuple[gf.Polynomial, gf.Polynomial]:
     F = f.field
     if g.is_zero:
-        raise gf.DivisionByZero("polynomial division by zero")
+        raise Precondition("polynomial division by zero")
     r = list(f.coeffs)
     d = g.degree
     inv_lead = F.inv(g.leading)

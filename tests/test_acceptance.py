@@ -11,6 +11,7 @@ from surfcodes import gf
 from surfcodes import surfaces as sf
 from surfcodes import towers as tw
 from surfcodes.asymptotic import (CodePoint, asym_point, phi_g, polygon_image)
+from surfcodes.errors import Precondition
 from fractions import Fraction
 
 
@@ -222,7 +223,7 @@ def _random_instances(rng, count):
             grid = None
         try:
             basis_len = len(cd.section_basis(s, g))
-        except cd.EmptySystem:
+        except Precondition:         # no sections
             continue
         if cd.enumeration_size(q, basis_len) > 30_000:
             continue

@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from surfcodes import asymptotic as am
-from surfcodes.asymptotic import (AsymptoticPoint, CodePoint, GOutOfRange,
-                                  InvalidGenus, asym_point, code_bound_checks,
-                                  domain_membership, emit_diagram, phi_g,
-                                  polygon_image, product_curve_point)
+from surfcodes.asymptotic import (AsymptoticPoint, CodePoint, asym_point,
+                                  code_bound_checks, domain_membership,
+                                  emit_diagram, phi_g, polygon_image,
+                                  product_curve_point)
+from surfcodes.errors import Precondition
 
 
 class TestPhiG:
@@ -28,9 +29,9 @@ class TestPhiG:
         assert cp == CodePoint(Fraction(0), Fraction(1, 6))
 
     def test_g_out_of_range(self):
-        with pytest.raises(GOutOfRange):
+        with pytest.raises(Precondition, match="need 2 <= g <= q, got g = 3, q = 2"):
             phi_g(2, 3, asym_point(0, 0))
-        with pytest.raises(GOutOfRange):
+        with pytest.raises(Precondition, match="need 2 <= g <= q, got g = 1, q = 5"):
             phi_g(5, 1, asym_point(0, 0))
 
     def test_infinite_input(self):
@@ -178,7 +179,7 @@ class TestProductCurvePoint:
         assert just_below["dv_floor_ok"] is False
 
     def test_invalid_genus(self):
-        with pytest.raises(InvalidGenus):
+        with pytest.raises(Precondition, match="assumes genera >= 3"):
             product_curve_point(4, 2, 3, 8, 8)
 
 
@@ -216,6 +217,12 @@ class TestDiagram:
     def test_grid_n_guard(self, tmp_path):
         with pytest.raises(ValueError):
             emit_diagram(2, 2, 1, str(tmp_path / "d.csv"))
+
+    def test_g_checked_before_division(self, tmp_path):
+        # the sample bounds divide by g (q + 1); the range check comes first
+        with pytest.raises(Precondition, match="need 2 <= g <= q, got g = 0, q = -2"):
+            emit_diagram(-2, 0, 2, str(tmp_path / "d.csv"))
+        assert not any(tmp_path.iterdir())
 
     # sha256 of d.csv and d.svg, computed before the diagram was written in
     # one pass; the CSV is the same with and without the SVG

@@ -7,14 +7,13 @@ import pytest
 
 from oracles import box_ample_h
 from surfcodes import surfaces as sf
-from surfcodes.bounds import (_find_ample_h, InvalidDegree, InvalidEpsilon, InvalidXi,
-                              NegativeIntersection, NotVeryAmple, aubry_bound,
-                              gamma_square_check, hansen_curve_bound,
-                              hansen_curve_bound_uniform, hansen_seshadri_bound,
-                              hirzebruch_grid_bound, interpolating_bound,
-                              lifted_bound, parameter_report,
-                              product_grid_bound, seshadri_upper,
-                              universal_gamma)
+from surfcodes.bounds import (_find_ample_h, aubry_bound, gamma_square_check,
+                              hansen_curve_bound, hansen_curve_bound_uniform,
+                              hansen_seshadri_bound, hirzebruch_grid_bound,
+                              interpolating_bound, lifted_bound,
+                              parameter_report, product_grid_bound,
+                              seshadri_upper, universal_gamma)
+from surfcodes.errors import Precondition
 
 
 class TestUniversalGamma:
@@ -35,10 +34,12 @@ class TestUniversalGamma:
 
     def test_not_very_ample(self):
         s = sf.hirzebruch(2)
-        with pytest.raises(NotVeryAmple):
+        with pytest.raises(Precondition,
+                           match=r"^L = \(2, 1\) is not very ample on Hirzebruch$"):
             universal_gamma(s, s.divisor(2, 1), 3)
         cp = sf.curve_product(3, 3, 9, 9)
-        with pytest.raises(NotVeryAmple):
+        with pytest.raises(Precondition,
+                           match=r"^L = \(1, 1\) is undecided on CurveProduct$"):
             universal_gamma(cp, cp.divisor(1, 1), 3)
 
 
@@ -61,7 +62,7 @@ class TestIndividualBounds:
                             == n - (q + 1) * (u + v)
 
     def test_interpolating_mismatch(self):
-        with pytest.raises(sf.SurfaceMismatch):
+        with pytest.raises(Precondition, match="live on different surfaces"):
             interpolating_bound(9, sf.quadric_p1xp1().divisor(1, 1),
                                 sf.hirzebruch(0).divisor(1, 1))
 
@@ -80,13 +81,13 @@ class TestIndividualBounds:
                 assert aubry_bound(16, 3, s.divisor(a, b)) == 16 - 2 * a * b * 4
         p2 = sf.projective_plane()
         assert aubry_bound(7, 2, p2.divisor(1)) == 4
-        with pytest.raises(NotVeryAmple):
+        with pytest.raises(Precondition, match=r"^D = \(1, 0\) is not very ample$"):
             aubry_bound(16, 3, s.divisor(1, 0))
 
     def test_hansen_curves(self):
         assert hansen_curve_bound(16, 1, 4, [1, 1, 1]) == 9
         assert hansen_curve_bound(16, 0, 4, [1, 1, 1]) == 13
-        with pytest.raises(NegativeIntersection):
+        with pytest.raises(Precondition, match="all L.C_i must be >= 0"):
             hansen_curve_bound(16, 1, 4, [1, -1])
 
     def test_hansen_uniform_recovers_quadric_formula(self):
@@ -103,9 +104,9 @@ class TestIndividualBounds:
         assert hansen_seshadri_bound(16, 2, xi=4) == 8
         assert hansen_seshadri_bound(16, 2, epsilon=Fraction(1)) == 14
         assert hansen_seshadri_bound(10, 3, epsilon=Fraction(2, 3)) == 10 - 5
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(Precondition, match="epsilon must be positive, got 0"):
             hansen_seshadri_bound(16, 2, epsilon=Fraction(0))
-        with pytest.raises(InvalidXi):
+        with pytest.raises(Precondition, match="xi must be >= 1, got 0"):
             hansen_seshadri_bound(16, 2, xi=0)
         with pytest.raises(ValueError):
             hansen_seshadri_bound(16, 2)
@@ -268,5 +269,5 @@ class TestLiftedBound:
     def test_invalid_degree(self):
         s = sf.quadric_p1xp1()
         rep = parameter_report(s, s.divisor(1, 1), 3)
-        with pytest.raises(InvalidDegree):
+        with pytest.raises(Precondition, match="degree must be >= 1, got 0"):
             lifted_bound(rep, 0)

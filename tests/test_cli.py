@@ -230,6 +230,22 @@ def test_library_bug_ends_in_json(capsys, monkeypatch):
                                  "message": "TypeError: unexpected argument"}}
 
 
+@pytest.mark.parametrize("exc", [ValueError("boom"), ZeroDivisionError("boom")],
+                         ids=["ValueError", "ZeroDivisionError"])
+def test_library_value_error_is_internal(capsys, monkeypatch, exc):
+    # a builtin ValueError or ZeroDivisionError raised inside the library is
+    # a bug, not bad input
+    def broken(mc, md):
+        raise exc
+
+    monkeypatch.setattr(tw, "kunneth_invariants", broken)
+    code, payload = run_json(capsys, "tower", "check", "--q", "11",
+                             "--g1", "2", "--g2", "2", "--rho", "1")
+    assert code == 1
+    assert payload == {"error": {"kind": "internal",
+                                 "message": f"{type(exc).__name__}: boom"}}
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["tower", "check", "--q", "67"],
@@ -248,6 +264,110 @@ def test_usage_errors_end_in_json(capsys, argv):
 def test_help_exits_0(capsys):
     assert cli.main(["tower", "search", "--help"]) == 0
     assert "--rho" in capsys.readouterr().out
+
+
+_CODE = {"field": _F3, "n": 4, "k": 1, "generator": [1, 1, 1, 1]}
+ERROR_FILES = {
+    "not_json.json": b"{not json",
+    "not_utf8.json": b"\xff\xfe{}",
+    "divisor_a.json": json.dumps({**_CODE, "divisor": ["a"]}).encode(),
+    "surface_torus.json": json.dumps({**_CODE, "surface": {"kind": "torus"}}).encode(),
+}
+_QUADRIC = ("--surface", "p1xp1", "--q", "3", "--divisor", "1,1")
+
+# one input per refusal, with the exit code, kind and message each printed
+# before the library's exception classes were folded into surfcodes.errors;
+# only asym_diagram_g0 changed: it read "Fraction(2, 0)" when the diagram
+# divided by g before checking it
+ERROR_TABLE = [
+    ("parse_int", ("tower", "check", "--q", "x", "--g1", "3", "--g2", "3", "--rho", "1"),
+     2, "parse", "surfcodes tower check: argument --q: invalid int value: 'x'"),
+    ("parse_list", ("code", "build", "--surface", "p1xp1", "--q", "3", "--divisor", "1,x"),
+     2, "parse", "bad integer list '1,x': invalid literal for int() with base 10: 'x'"),
+    ("parse_range", ("tower", "search", "--q", "7", "--g1", "a..b", "--g2", "2", "--rho", "1"),
+     2, "parse", "bad range 'a..b': invalid literal for int() with base 10: 'a'"),
+    ("surface_unknown", ("code", "build", "--surface", "torus", "--q", "3", "--divisor", "1,1"),
+     2, "surface", "unknown surface 'torus' (use p2, p1xp1, hirzebruch)"),
+    ("surface_no_e", ("bounds", "--surface", "hirzebruch", "--q", "3", "--divisor", "1,1"),
+     2, "surface", "--e is required for a Hirzebruch surface"),
+    ("gf_not_prime_power", ("code", "build", "--surface", "p1xp1", "--q", "6", "--divisor", "1,1"),
+     2, "precondition", "6 is not a prime power"),
+    ("gf_field_too_large", ("tower", "check", "--q", "70000", "--g1", "2", "--g2", "2",
+                            "--rho", "1"),
+     2, "precondition", "q = 70000 exceeds 65536"),
+    ("surfaces_negative_e", ("code", "build", "--surface", "hirzebruch", "--e=-1", "--q", "3",
+                             "--divisor", "1,1"),
+     2, "precondition", "Hirzebruch parameter e must be >= 0, got -1"),
+    ("surfaces_rank", ("bounds", "--surface", "p1xp1", "--q", "3", "--divisor", "1"),
+     2, "precondition", "divisor needs 2 coordinates, got 1"),
+    ("codes_no_sections", ("code", "build", "--surface", "p1xp1", "--q", "3", "--divisor=-1,2"),
+     2, "precondition", "no sections for divisor (-1, 2) on P1xP1"),
+    ("codes_grid_on_p2", ("code", "build", "--surface", "p2", "--q", "3", "--divisor", "1",
+                          "--points", "grid"),
+     2, "precondition", "grid points are not defined on P2"),
+    ("codes_grid_entry", ("code", "build", *_QUADRIC, "--points", "grid", "--grid-a", "5"),
+     2, "precondition", "grid entry 5 is not an element of F_3"),
+    ("bounds_lift", ("bounds", *_QUADRIC, "--lift", "0"),
+     2, "precondition", "degree must be >= 1, got 0"),
+    ("towers_factor_count", ("tower", "check", "--q", "7", "--g1=-5", "--g2", "2", "--rho", "1"),
+     2, "precondition", "linear factor count must be >= 0, got -8"),
+    ("towers_genus", ("tower", "check", "--q", "7", "--g1", "1", "--g2", "2", "--rho", "1"),
+     2, "precondition", "degree 4 < 6 means genus < 2"),
+    ("towers_rho", ("tower", "check", "--q", "67", "--g1", "3", "--g2", "3", "--rho", "0"),
+     2, "precondition", "rho must be >= 1, got 0"),
+    ("towers_few_linear", ("tower", "check", "--q", "3", "--g1", "2", "--g2", "2", "--rho", "1"),
+     2, "precondition", "only 3 linear factors exist, need 6"),
+    ("towers_even_q", ("tower", "search", "--q", "4", "--g1", "2..3", "--g2", "2..3",
+                       "--rho", "1"),
+     2, "precondition", "tower search needs odd q"),
+    ("asym_g_range", ("asym", "map", "--q", "2", "--g", "5", "--point", "1/9,0"),
+     2, "precondition", "need 2 <= g <= q, got g = 5, q = 2"),
+    ("asym_kappa", ("asym", "map", "--q", "2", "--g", "2", "--point=-1,0"),
+     2, "precondition", "kappa must be >= 0"),
+    ("asym_grid", ("asym", "diagram", "--q", "2", "--g", "2", "--grid", "1", "--out", "d.csv"),
+     2, "precondition", "grid_n must be >= 2, got 1"),
+    ("asym_same_file", ("asym", "diagram", "--q", "2", "--g", "2", "--out", "d.csv",
+                        "--svg", "d.csv"),
+     2, "precondition", "the CSV and the SVG would both be written to 'd.csv'"),
+    ("asym_diagram_g0", ("asym", "diagram", "--q=-2", "--g=0", "--grid=2", "--out", "d.csv"),
+     2, "precondition", "need 2 <= g <= q, got g = 0, q = -2"),
+    ("point_zero_den", ("asym", "map", "--q", "2", "--g", "2", "--point", "1/0,0"),
+     2, "precondition", "Fraction(1, 0)"),
+    ("point_literal", ("asym", "map", "--q", "2", "--g", "2", "--point", "x,1"),
+     2, "precondition", "Invalid literal for Fraction: 'x'"),
+    ("point_three", ("asym", "map", "--q", "2", "--g", "2", "--point", "1,2,3"),
+     2, "precondition", "too many values to unpack (expected 2)"),
+    ("point_empty", ("asym", "map", "--q", "2", "--g", "2", "--point="),
+     2, "precondition", "not enough values to unpack (expected 2, got 1)"),
+    ("epsilon_zero_den", ("bounds", *_QUADRIC, "--epsilon", "1/0"),
+     2, "precondition", "Fraction(1, 0)"),
+    ("epsilon_literal", ("bounds", *_QUADRIC, "--epsilon", "x"),
+     2, "precondition", "Invalid literal for Fraction: 'x'"),
+    ("json_not_json", ("code", "distance", "--in", "not_json.json"),
+     2, "precondition",
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("json_not_utf8", ("code", "distance", "--in", "not_utf8.json"),
+     2, "precondition", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("json_divisor", ("code", "distance", "--in", "divisor_a.json"),
+     2, "precondition", "invalid literal for int() with base 10: 'a'"),
+    ("json_surface_kind", ("code", "distance", "--in", "surface_torus.json"),
+     2, "precondition", "unknown surface kind 'torus'"),
+    ("budget_diagram", ("asym", "diagram", "--q", "2", "--g", "2", "--grid", "600",
+                        "--out", "d.csv"),
+     3, "budget", "600^2 diagram samples exceed 250000"),
+    ("io_missing", ("code", "distance", "--in", "missing.json"),
+     4, "io", "[Errno 2] No such file or directory: 'missing.json'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, kind, message", [row[1:] for row in ERROR_TABLE],
+                         ids=[row[0] for row in ERROR_TABLE])
+def test_error_table(capsys, tmp_path, monkeypatch, argv, code, kind, message):
+    monkeypatch.chdir(tmp_path)
+    for name, body in ERROR_FILES.items():
+        (tmp_path / name).write_bytes(body)
+    assert run(capsys, *argv) == (
+        code, json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
 
 
 class TestBoundsCommand:

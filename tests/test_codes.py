@@ -6,10 +6,10 @@ import pytest
 from surfcodes import codes as cd
 from surfcodes import gf
 from surfcodes import surfaces as sf
-from surfcodes.codes import (BudgetExceeded, EmptySystem, UnsupportedSubset,
-                             build_code, code_from_json_dict, enumeration_size,
+from surfcodes.codes import (build_code, code_from_json_dict, enumeration_size,
                              exact_min_distance, rational_locus_check,
                              rational_points, section_basis, section_count)
+from surfcodes.errors import BudgetExceeded, Precondition
 from oracles import blocked_min_distance
 
 SWEEP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
@@ -71,9 +71,9 @@ class TestRationalPoints:
             assert (x0, x1) in {(1, c) for c in range(3)} | {(0, 1)}
 
     def test_grid_unsupported(self):
-        with pytest.raises(UnsupportedSubset):
+        with pytest.raises(Precondition, match="grid points are not defined on P2"):
             rational_points(sf.projective_plane(), 3, "grid", (range(2), range(2)))
-        with pytest.raises(UnsupportedSubset):
+        with pytest.raises(Precondition, match="CurveProduct has no point enumeration"):
             rational_points(sf.curve_product(2, 2, 4, 4), 3)
 
     def test_deterministic_order(self):
@@ -116,12 +116,12 @@ class TestSectionBasis:
 
     def test_empty_system(self):
         s = sf.projective_plane()
-        with pytest.raises(EmptySystem):
+        with pytest.raises(Precondition, match=r"no sections for divisor \(-1,\) on P2"):
             section_basis(s, s.divisor(-1))
 
     def test_count_matches_brute_force(self):
         # the closed form against a count of exponent tuples in a box; a
-        # zero count is EmptySystem for the count and the listing alike
+        # zero count is refused for the count and the listing alike
         box = range(16)
 
         def brute(s, coords):
@@ -141,9 +141,9 @@ class TestSectionBasis:
         for s, coords in cases:
             g, expected = s.divisor(*coords), brute(s, coords)
             if expected == 0:
-                with pytest.raises(EmptySystem):
+                with pytest.raises(Precondition, match="no sections for divisor"):
                     section_count(s, g)
-                with pytest.raises(EmptySystem):
+                with pytest.raises(Precondition, match="no sections for divisor"):
                     section_basis(s, g)
             else:
                 assert section_count(s, g) == len(section_basis(s, g)) == expected
@@ -211,6 +211,21 @@ class TestBuildCode:
         n = d["n"]
         d["generator"][n:2 * n] = d["generator"][:n]
         with pytest.raises(ValueError, match="rank 3, not k = 4"):
+            code_from_json_dict(d)
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("divisor", ["a"], "invalid literal for int"),
+        ("section_count", "x", "invalid literal for int"),
+        ("surface", {"kind": "Hirzebruch", "params": ["a"]}, "invalid literal for int"),
+        ("divisor", [float("nan")], "cannot convert float NaN to integer"),
+        ("divisor", [float("inf")], "cannot convert float infinity to integer"),
+    ])
+    def test_json_metadata_integers(self, key, bad, message):
+        # a metadata value that int() refuses is bad input, named by int()
+        s = sf.quadric_p1xp1()
+        d = build_code(s, s.divisor(1, 1), 3).to_json_dict()
+        d[key] = bad
+        with pytest.raises(Precondition, match=f"^{message}"):
             code_from_json_dict(d)
 
     def test_deterministic(self):
@@ -353,5 +368,5 @@ class TestRationalLocus:
             assert survivors == expected
 
     def test_field_too_large(self):
-        with pytest.raises(gf.FieldTooLarge):
+        with pytest.raises(Precondition, match=r"^257\^3 exceeds 65536$"):
             rational_locus_check(1, 257, 3)

@@ -6,10 +6,9 @@ import pytest
 import oracles
 
 from surfcodes import gf
-from surfcodes.gf import (DivisionByZero, EvenCharacteristic, FieldTooLarge,
-                          NotPrime, Polynomial, ZeroPolynomial, extension_field,
-                          make_field, poly_eval, poly_factor, poly_gcd,
-                          quadratic_character)
+from surfcodes.errors import Precondition
+from surfcodes.gf import (Polynomial, extension_field, make_field, poly_eval,
+                          poly_factor, poly_gcd, quadratic_character)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
@@ -68,25 +67,25 @@ class TestMakeField:
         assert make_field(p, m).modulus == enumerate_canonical_modulus(p, m)
 
     def test_not_prime(self):
-        with pytest.raises(NotPrime):
+        with pytest.raises(Precondition, match="^4 is not prime$"):
             make_field(4, 1)
 
     def test_too_large(self):
-        with pytest.raises(FieldTooLarge):
+        with pytest.raises(Precondition, match=r"^q = 2\^17 exceeds 65536$"):
             make_field(2, 17)
         assert make_field(2, 16).q == 65536
 
     def test_too_large_rejected_before_primality(self):
         # trial division on these inputs would not finish
         for p, m in ((10 ** 18 + 3, 1), (3, 10 ** 9)):
-            with pytest.raises(FieldTooLarge):
+            with pytest.raises(Precondition, match=rf"^q = {p}\^{m} exceeds 65536$"):
                 make_field(p, m)
-        with pytest.raises(FieldTooLarge):
+        with pytest.raises(Precondition, match="^q = 1000000000000000003 exceeds 65536$"):
             gf.field_from_order(10 ** 18 + 3)
 
     def test_field_from_order(self):
         assert gf.field_from_order(9) is make_field(3, 2)
-        with pytest.raises(NotPrime):
+        with pytest.raises(Precondition, match="^12 is not a prime power$"):
             gf.field_from_order(12)
 
     def test_one_instance_per_field(self):
@@ -159,9 +158,9 @@ class TestArithmetic:
         for a in range(7):
             for b in range(1, 7):
                 assert F.mul(F.div(a, b), b) == a
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(Precondition, match="^division by 0$"):
             F.div(1, 0)
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(Precondition, match="^inverse of 0$"):
             F.inv(0)
 
 
@@ -175,7 +174,7 @@ class TestQuadraticCharacter:
         assert quadratic_character(F, 0) == 0
 
     def test_even_characteristic_rejected(self):
-        with pytest.raises(EvenCharacteristic):
+        with pytest.raises(Precondition, match="quadratic character needs odd q"):
             quadratic_character(make_field(2, 2), 1)
 
     @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (7, 2), (5, 2)])
@@ -207,7 +206,7 @@ class TestExtensionField:
         assert ext.q == 256
 
     def test_too_large(self):
-        with pytest.raises(FieldTooLarge):
+        with pytest.raises(Precondition, match=r"^256\^3 exceeds 65536$"):
             extension_field(make_field(2, 8), 3)
 
     @pytest.mark.parametrize("p,m,k", [(2, 1, 2), (2, 2, 2), (3, 1, 2),
@@ -256,7 +255,7 @@ class TestPolyFactor:
         assert poly_factor(F5.poly((0, 0, 1))) == [(F5.poly((0, 1)), 2)]
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(Precondition, match="cannot factor the zero polynomial"):
             poly_factor(Polynomial.zero(make_field(2, 1)))
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])

@@ -1,4 +1,6 @@
 import ast
+import builtins
+import importlib
 import os
 import subprocess
 import sys
@@ -6,14 +8,55 @@ from pathlib import Path
 
 import surfcodes
 
+LIBRARY = sorted(Path(surfcodes.__file__).parent.rglob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
 
 def test_no_assert_in_library():
     # python -O strips assert statements, so library invariants must raise
     offenders = []
-    for path in sorted(Path(surfcodes.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+    for path in LIBRARY:
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
                       if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
+def test_exception_classes_only_in_errors():
+    # one exception type per exit code: a class whose base is an exception
+    # is defined in errors.py only (cli._Parser derives from argparse's
+    # ArgumentParser, which is no exception)
+    def resolve(node, namespace):
+        if isinstance(node, ast.Attribute):
+            return getattr(resolve(node.value, namespace), node.attr)
+        return namespace[node.id]
+
+    found = []
+    for path in LIBRARY:
+        name = "surfcodes" if path.stem == "__init__" else f"surfcodes.{path.stem}"
+        namespace = {**vars(builtins), **vars(importlib.import_module(name))}
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, type) and issubclass(base, BaseException)
+                    for base in (resolve(b, namespace) for b in node.bases)):
+                found.append(f"{path.name}:{node.name}")
+    assert found == ["errors.py:Precondition", "errors.py:BudgetExceeded",
+                     "errors.py:InvariantError"]
+
+
+def test_no_builtin_raise_in_library():
+    # the CLI reports a builtin ValueError, ZeroDivisionError or
+    # RuntimeError as a bug, so no deliberate refusal raises one
+    builtin = {"ValueError", "ZeroDivisionError", "RuntimeError"}
+    offenders = []
+    for path in LIBRARY:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in builtin:
+                    offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from surfcodes import surfaces as sf
-from surfcodes.surfaces import (InvalidParams, PreconditionFailed,
-                                SurfaceMismatch, ampleness_flags, curve_product,
-                                hirzebruch, intersect, make_surface,
-                                noether_identity, point_count, projective_plane,
-                                quadric_p1xp1, riemann_roch_lower)
+from surfcodes.errors import Precondition
+from surfcodes.surfaces import (ampleness_flags, curve_product, hirzebruch,
+                                intersect, make_surface, noether_identity,
+                                point_count, projective_plane, quadric_p1xp1,
+                                riemann_roch_lower)
 
 
 def catalog():
@@ -37,11 +37,11 @@ class TestMakeSurface:
         assert intersect(s.canonical, s.canonical) == 8
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(Precondition, match="parameter e must be >= 0, got -1"):
             hirzebruch(-1)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(Precondition, match="genera must be >= 0"):
             curve_product(-1, 2, 8, 8)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(Precondition, match="unknown surface kind 'Klein'"):
             make_surface("Klein")
 
     def test_dispatch_and_json(self):
@@ -62,7 +62,7 @@ class TestIntersect:
         assert intersect(p2.divisor(4), p2.divisor(4)) == 16
 
     def test_mismatch(self):
-        with pytest.raises(SurfaceMismatch):
+        with pytest.raises(Precondition, match="live on different surfaces"):
             intersect(quadric_p1xp1().divisor(1, 1), hirzebruch(0).divisor(1, 1))
 
     def test_symmetric_bilinear_random(self):
@@ -139,9 +139,9 @@ class TestRiemannRoch:
 
     def test_precondition_messages(self):
         s = quadric_p1xp1()
-        with pytest.raises(PreconditionFailed, match="not ample"):
+        with pytest.raises(Precondition, match=r"^H = \(1, 0\) is not ample$"):
             riemann_roch_lower(s, s.divisor(1, 1), s.divisor(1, 0))
-        with pytest.raises(PreconditionFailed, match="G.H"):
+        with pytest.raises(Precondition, match="must exceed K.H"):
             riemann_roch_lower(s, s.divisor(-9, -9), s.divisor(1, 1))
 
 

@@ -10,8 +10,8 @@ import oracles
 from oracles import eigen_multiplicities, eigen_pairing_dim, random_invertible
 from surfcodes import f2, gf
 from surfcodes import towers as tw
-from surfcodes.towers import (HyperellipticCurve, NotEnoughFactors,
-                              NotSquarefree, OddDegree, fixed_space_dim,
+from surfcodes.errors import BudgetExceeded, InvariantError, Precondition
+from surfcodes.towers import (HyperellipticCurve, fixed_space_dim,
                               golod_shafarevich_check, gs_check_chi_form, hyperelliptic_point_count,
                               hyperelliptic_product_certificate,
                               kunneth_invariants, marked_invariants,
@@ -75,13 +75,13 @@ class TestPointCounts:
 
     def test_curve_validation(self):
         F7 = gf.make_field(7, 1)
-        with pytest.raises(OddDegree):
+        with pytest.raises(Precondition, match="f must have even degree, got 7"):
             HyperellipticCurve(F7, gf.Polynomial.from_roots(F7, [0, 1, 2, 3, 4]) *
                                F7.poly((1, 1)) * F7.poly((2, 1)))
-        with pytest.raises(NotSquarefree):
+        with pytest.raises(Precondition, match="f has a repeated root"):
             HyperellipticCurve(F7, F7.poly((0, 0, 1)) *
                                gf.Polynomial.from_roots(F7, [1, 2, 3, 4]))
-        with pytest.raises(gf.EvenCharacteristic):
+        with pytest.raises(Precondition, match="hyperelliptic model needs odd q"):
             F4 = gf.make_field(2, 2)
             HyperellipticCurve(F4, gf.Polynomial.from_roots(F4, [0, 1, 2, 3]) *
                                F4.poly((1, 0, 1)))
@@ -99,9 +99,10 @@ class TestSampling:
         assert [p.degree for p, _ in gf.poly_factor(f)] == [2, 2, 2]
 
     def test_not_enough(self):
-        with pytest.raises(NotEnoughFactors):
+        with pytest.raises(Precondition, match="only 5 linear factors exist, need 6"):
             sample_branch_poly(5, 6, "linear", seed=1)
-        with pytest.raises(NotEnoughFactors):
+        with pytest.raises(Precondition,
+                           match="only 3 monic irreducible quadratics exist, need 4"):
             sample_branch_poly(3, 4, "quadratic", seed=1)
 
     def test_deterministic(self):
@@ -382,7 +383,7 @@ class TestCertificates:
         assert not cert.gs_pass
 
     def test_structural_precondition_raises(self):
-        with pytest.raises(NotEnoughFactors):
+        with pytest.raises(Precondition, match="only 5 linear factors exist, need 62"):
             hyperelliptic_product_certificate(5, 30, 30, 1)
 
     def test_json_schema(self):
@@ -419,7 +420,7 @@ class TestCertificates:
             return real(q, count, kind, seed)
 
         monkeypatch.setattr(tw, "sample_branch_poly", sample)
-        with pytest.raises(NotSquarefree):
+        with pytest.raises(Precondition, match="f has a repeated root"):
             search_parameters(67, range(29, 31), range(30, 31), range(1, 2))
 
     def test_closed_form_mismatch_raises(self, monkeypatch):
@@ -430,11 +431,10 @@ class TestCertificates:
             return {**kd, "h1G": kd["h1G"] + 1}
 
         monkeypatch.setattr(tw, "kunneth_invariants", off_by_one)
-        with pytest.raises(gf.InvariantError, match="h1G"):
+        with pytest.raises(InvariantError, match="h1G"):
             hyperelliptic_product_certificate(11, 2, 2, 1, seed=1)
 
     def test_search_budget(self):
-        from surfcodes.codes import BudgetExceeded
         # the budget is checked before any candidate tuple is built
         tracemalloc.start()
         try:
