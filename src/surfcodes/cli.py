@@ -59,6 +59,14 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_rational(text: str) -> Fraction:
+    """Fraction(text); text whose digits plus exponent exceed the digits an
+    int may print (sys.get_int_max_str_digits) is refused unevaluated."""
+    mantissa, _, exp = text.lower().partition("e")
+    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp)
+                                      + sum(map(str.isdecimal, mantissa)) > limit):
+        raise Precondition(f"{text!r}: digits plus exponent exceed {limit}", kind="parse")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

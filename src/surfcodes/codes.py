@@ -3,12 +3,12 @@
 A code is built by evaluating a monomial basis of the sections of a divisor
 class at a canonical list of rational points; the exact minimum distance is
 then available by exhaustive search over projective message representatives.
-Each head codeword is compared with one table of all combinations of the
-last generator rows, one comparison per message, in arrays of at most
-MAX_KERNEL_CELLS entries or the q multiples of one row, if more; a code
-whose one-row table (q * n entries) exceeds MAX_ROW_TABLE_CELLS is refused
-as over budget, and so is one whose generator would hold more than
-MAX_CODE_CELLS section values, before its basis is listed.
+A batch of head codewords is compared with a table of all combinations of
+the last generator rows in one numpy comparison of at most MAX_KERNEL_CELLS
+cells (or the q multiples of one row, if more), summed in the narrowest
+dtype that holds n; a code whose one-row table (q * n entries) exceeds
+MAX_ROW_TABLE_CELLS is refused as over budget, and so is one whose generator
+would hold more than MAX_CODE_CELLS section values, before its basis is listed.
 
 Canonical point representatives
 -------------------------------
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,10 +82,11 @@ def grid_sides(surface: sf.SurfaceModel, q: int,
         raise Precondition(f"grid points are not defined on {surface.kind}")
     if grid is None:
         grid = (range(q), range(q))
-    # an ascending range is already sorted and distinct: count it unlisted
+    # count an ascending range (sorted, distinct) unlisted; len() overflows at 2^63
     a, b = (s if isinstance(s, range) and s.step > 0
             else tuple(sorted(set(int(x) for x in s))) for s in grid)
-    _check_point_budget(len(a) * len(b))
+    _check_point_budget(math.prod(max(0, -((s.start - s.stop) // s.step))
+                                  if isinstance(s, range) else len(s) for s in (a, b)))
     gf.field_from_order(q)
     a, b = tuple(a), tuple(b)
     for c in a + b:
@@ -368,17 +370,16 @@ def enumeration_size(q: int, k: int) -> int:
 
 
 def _span_table(add_t, mul_t, rows):
-    """All q^s combinations of the s given rows (a numpy array), built in s
-    broadcast steps.
+    """All q^s combinations of the s given rows (a numpy array) as an n x q^s
+    table, one contiguous row per position, built in s broadcast steps.
 
-    Entry sum_u c_u q^u is sum_u c_u rows[s-1-u], so the first q^t entries
+    Column sum_u c_u q^u is sum_u c_u rows[s-1-u], so the first q^t columns
     are the span of the last t rows."""
-    import numpy as np
-    table = np.zeros((1, rows.shape[1]), dtype=np.uint16)
-    for row in rows[::-1]:
-        scaled = mul_t[:, row]                            # c * row, c in F_q
-        table = add_t[scaled[:, None, :], table[None, :, :]]
-        table = table.reshape(-1, rows.shape[1])
+    q, n = add_t.shape[0], rows.shape[1]
+    table = mul_t[:, rows[-1]].T.copy()                   # c * last row
+    for row in rows[-2::-1]:
+        scaled = mul_t[:, row].T.astype(int) * q          # c * row, c in F_q
+        table = add_t.ravel()[scaled[:, :, None] + table[:, None, :]].reshape(n, -1)
     return table
 
 
@@ -401,15 +402,16 @@ def exact_min_distance(code: LinearCode,
 
     Enumerates projective message representatives (first nonzero message
     coordinate fixed to 1) since scaling a message scales the codeword and
-    preserves its weight.  Table L holds all combinations of the last s
-    generator rows, s as large as q^s * n <= MAX_KERNEL_CELLS allows (at
-    least 1).  For leading index i, the heads h (row i plus a combination of
-    the rows between i and L) are built in chunks of MAX_KERNEL_CELLS
-    entries; with x over the span of the first q^min(s, k-1-i) rows of L,
-    the h - x are the codewords with head h, and wt(h - x) counts the
-    positions where x != h: one comparison per message.  The search stops
-    at the first codeword of weight <= 1.  check_table_budget refuses a
-    code whose tables would be over budget before any table is built.
+    preserves its weight.  Table L (n x q^s) holds all combinations of the
+    last s generator rows, s as large as q^s * n <= MAX_KERNEL_CELLS / 4
+    allows (at least 1).  For leading index i, the heads h (row i plus a
+    combination of the rows between i and L) come in batches whose one
+    comparison with the first q^min(s, k-1-i) columns x of L takes at most
+    MAX_KERNEL_CELLS cells (or one head): wt(h - x) is n minus the positions
+    where x == h, summed in the narrowest dtype that holds n.  The search
+    stops after the first batch with a codeword of weight <= 1.
+    check_table_budget refuses a code whose tables would be over budget
+    before any table is built.
     """
     if code.k == 0:
         raise Precondition("zero code has no minimum distance")
@@ -421,29 +423,28 @@ def exact_min_distance(code: LinearCode,
     check_table_budget(q, n)
     import numpy as np
     add_t, mul_t = code.field.numpy_tables()
-    gen = np.array(code.generator, dtype=np.uint16)
+    gen = np.array(code.generator, dtype=add_t.dtype)
     s = 1
-    while s + 1 < k and q ** (s + 1) * n <= MAX_KERNEL_CELLS:
+    while s + 1 < k and q ** (s + 1) * n <= MAX_KERNEL_CELLS >> 2:
         s += 1
     low = _span_table(add_t, mul_t, gen[k - s:])
-    chunk = max(1, MAX_KERNEL_CELLS // n)
     best = n + 1
     for i in range(k):
-        table = low[:q ** min(s, k - 1 - i)]
+        table = low[:, :q ** min(s, k - 1 - i)]
         free = gen[i + 1:k - s]                           # rows above L
         heads_total = q ** len(free)
-        for start in range(0, heads_total, chunk):
-            idx = np.arange(start, min(start + chunk, heads_total))
+        batch = max(1, MAX_KERNEL_CELLS // table.size)
+        for start in range(0, heads_total, batch):
+            idx = np.arange(start, min(start + batch, heads_total))
             heads = np.broadcast_to(gen[i], (len(idx), n))
             for row in free:
                 idx, digit = np.divmod(idx, q)
                 heads = add_t[heads, mul_t[digit[:, None], row]]
-            for head in heads:
-                w = n - int((table == head).sum(axis=1).max())
-                if w < best:
-                    best = w
-                    if best <= 1:
-                        return best
+            agree = (heads[:, :, None] == table).view(np.uint8).sum(
+                axis=1, dtype=np.min_scalar_type(n))
+            best = min(best, n - int(agree.max()))
+            if best <= 1:
+                return best
     return best
 
 

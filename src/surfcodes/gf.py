@@ -210,8 +210,8 @@ class FieldSpec:
     # -- cached numpy operation tables (used by the distance kernels) -------
 
     def numpy_tables(self):
-        """(add, mul) tables as q-by-q uint16 arrays; built once, for
-        q <= MAX_TABLE_ORDER."""
+        """(add, mul) tables as q-by-q arrays of dtype min_scalar_type(q - 1),
+        uint8 for q <= 256; built once, for q <= MAX_TABLE_ORDER."""
         if self._np_add is None:
             import numpy as np
             if self.q > MAX_TABLE_ORDER:
@@ -219,7 +219,8 @@ class FieldSpec:
                                    f"> {MAX_TABLE_ORDER}")
             q, p = self.q, self.p
             # log a + log b < 2 (q - 1) <= 8190 indexes a doubled exp table
-            exp2 = np.array(self._exp * 2, dtype=np.uint16)
+            dtype = np.min_scalar_type(q - 1)
+            exp2 = np.array(self._exp * 2, dtype=dtype)
             log = np.array(self._log, dtype=np.uint16)
             mul = exp2[log[:, None] + log[None, :]]
             mul[0, :] = 0
@@ -229,7 +230,7 @@ class FieldSpec:
             for w in self._pows:
                 digit = (idx // w) % p
                 add += (digit[:, None] + digit[None, :]) % p * w
-            self._np_add, self._np_mul = add, mul
+            self._np_add, self._np_mul = add.astype(dtype, copy=False), mul
         return self._np_add, self._np_mul
 
     # -- misc ----------------------------------------------------------------

@@ -7,9 +7,10 @@ numbers: the rank of MC (x) MD - I on the Kronecker product, a packed numpy
 elimination, and the semisimple-only eigenvalue pairing.  Tests compare the
 library against them, also on random invertible matrices drawn here.
 
-The exact minimum distance has its earlier kernel here too: blocks of
+The exact minimum distance has its two earlier kernels here too: blocks of
 message indices decoded digit by digit, with one table multiply and one
-table add per free row and message.
+table add per free row and message; and the row-major span table of the
+last generator rows, with one comparison against it per head codeword.
 
 The characteristic polynomial over GF(2) has its Samuelson-Berkowitz
 recurrence here, and the quadratic branch sampler its list of all q^2
@@ -235,6 +236,71 @@ def blocked_min_distance(code: cd.LinearCode,
             best = w
             if best <= 1:
                 break
+    return best
+
+
+def _span_table(add_t, mul_t, rows):
+    """All q^s combinations of the s given rows (a numpy array), built in s
+    broadcast steps.
+
+    Entry sum_u c_u q^u is sum_u c_u rows[s-1-u], so the first q^t entries
+    are the span of the last t rows."""
+    table = np.zeros((1, rows.shape[1]), dtype=np.uint16)
+    for row in rows[::-1]:
+        scaled = mul_t[:, row]                            # c * row, c in F_q
+        table = add_t[scaled[:, None, :], table[None, :, :]]
+        table = table.reshape(-1, rows.shape[1])
+    return table
+
+
+def span_table_min_distance(code: cd.LinearCode,
+                            budget: int = cd.DEFAULT_DISTANCE_BUDGET) -> int:
+    """Exact minimum Hamming weight over nonzero codewords.
+
+    Enumerates projective message representatives (first nonzero message
+    coordinate fixed to 1) since scaling a message scales the codeword and
+    preserves its weight.  Table L holds all combinations of the last s
+    generator rows, s as large as q^s * n <= MAX_KERNEL_CELLS allows (at
+    least 1).  For leading index i, the heads h (row i plus a combination of
+    the rows between i and L) are built in chunks of MAX_KERNEL_CELLS
+    entries; with x over the span of the first q^min(s, k-1-i) rows of L,
+    the h - x are the codewords with head h, and wt(h - x) counts the
+    positions where x != h: one comparison per message.  The search stops
+    at the first codeword of weight <= 1.  check_table_budget refuses a
+    code whose tables would be over budget before any table is built.
+    """
+    if code.k == 0:
+        raise Precondition("zero code has no minimum distance")
+    q, n, k = code.field.q, code.n, code.k
+    total = cd.enumeration_size(q, k)
+    if total > budget:
+        raise BudgetExceeded(
+            f"enumeration needs {total} messages, budget is {budget}")
+    cd.check_table_budget(q, n)
+    add_t, mul_t = code.field.numpy_tables()
+    gen = np.array(code.generator, dtype=np.uint16)
+    s = 1
+    while s + 1 < k and q ** (s + 1) * n <= cd.MAX_KERNEL_CELLS:
+        s += 1
+    low = _span_table(add_t, mul_t, gen[k - s:])
+    chunk = max(1, cd.MAX_KERNEL_CELLS // n)
+    best = n + 1
+    for i in range(k):
+        table = low[:q ** min(s, k - 1 - i)]
+        free = gen[i + 1:k - s]                           # rows above L
+        heads_total = q ** len(free)
+        for start in range(0, heads_total, chunk):
+            idx = np.arange(start, min(start + chunk, heads_total))
+            heads = np.broadcast_to(gen[i], (len(idx), n))
+            for row in free:
+                idx, digit = np.divmod(idx, q)
+                heads = add_t[heads, mul_t[digit[:, None], row]]
+            for head in heads:
+                w = n - int((table == head).sum(axis=1).max())
+                if w < best:
+                    best = w
+                    if best <= 1:
+                        return best
     return best
 
 

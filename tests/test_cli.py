@@ -165,6 +165,34 @@ def test_size_budget_exit_3(capsys, tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["asym", "map", "--q", "2", "--g", "2", "--point", "1e4000000,0"],
+    ["bounds", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1",
+     "--epsilon", "1e4000000"],
+], ids=["point", "epsilon"])
+def test_huge_exponent_refused_unbuilt(capsys, argv):
+    # Fraction("1e4000000") alone computes 10^4000000 for seconds
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, payload) == (2, {"error": {
+        "kind": "parse", "message": "'1e4000000': digits plus exponent exceed 4300"}})
+
+
+@pytest.mark.parametrize("point, code", [
+    ("1e4000,0", 0), ("1e-4299,0", 0), ("1e0000000000009,0", 0), ("1e4_299,0", 0),
+    ("1e4300,0", 2), ("1e-4300,0", 2), ("1e99999999999999,0", 2), ("1e4_300,0", 2),
+    ("1.5e4299,0", 2),
+])
+def test_exponent_digit_limit(capsys, point, code):
+    # 10^4300 and 10^-4300 need 4301 digits, one more than the interpreter
+    # prints; leading zeros of an exponent count for nothing.  The text is
+    # judged by its digits plus its exponent, so 1.5e4299 (4300 digits) is
+    # refused too
+    assert run_json(capsys, "asym", "map", "--q", "2", "--g", "2",
+                    "--point", point)[0] == code
+
+
 def test_section_budget_exit_3(capsys):
     # 5 * 10^9 sections at 7 points: refused from the closed-form count,
     # before any monomial is listed
@@ -357,6 +385,16 @@ ERROR_TABLE = [
      3, "budget", "600^2 diagram samples exceed 250000"),
     ("io_missing", ("code", "distance", "--in", "missing.json"),
      4, "io", "[Errno 2] No such file or directory: 'missing.json'"),
+    # added later: each of these ended as kind "internal", exit 1 (len() of a
+    # range past 2^63; a rational too long to print)
+    ("codes_grid_overflow", ("code", "build", "--surface", "p1xp1",
+                             "--q", "10000000000000000000", "--divisor", "1,1",
+                             "--points", "grid"),
+     3, "budget", f"{10 ** 38} evaluation points exceed 1000000"),
+    ("point_long_exponent", ("asym", "map", "--q", "2", "--g", "2", "--point", "1e5000,0"),
+     2, "parse", "'1e5000': digits plus exponent exceed 4300"),
+    ("epsilon_long_denominator", ("bounds", *_QUADRIC, "--epsilon", "1e-5000"),
+     2, "parse", "'1e-5000': digits plus exponent exceed 4300"),
 ]
 
 

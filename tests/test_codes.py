@@ -10,9 +10,20 @@ from surfcodes.codes import (build_code, code_from_json_dict, enumeration_size,
                              exact_min_distance, rational_locus_check,
                              rational_points, section_basis, section_count)
 from surfcodes.errors import BudgetExceeded, Precondition
-from oracles import blocked_min_distance
+from oracles import blocked_min_distance, span_table_min_distance
 
 SWEEP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+
+CATALOG = [
+    (sf.projective_plane(), (2,), 4, "all"),
+    (sf.quadric_p1xp1(), (2, 2), 4, "all"),
+    (sf.quadric_p1xp1(), (1, 2), 5, "all"),
+    (sf.quadric_p1xp1(), (1, 1), 8, "grid"),
+    (sf.hirzebruch(1), (3, 1), 4, "all"),
+    (sf.hirzebruch(2), (4, 1), 4, "all"),
+]
+CATALOG_IDS = ["p2_2_q4", "quadric_22_q4", "quadric_12_q5", "quadric_11_q8_grid",
+               "hirzebruch1_31_q4", "hirzebruch2_41_q4"]
 
 
 def random_sweep_codes(seed: int, count: int) -> list[cd.LinearCode]:
@@ -315,18 +326,63 @@ class TestExactMinDistance:
         assert {c.field.q for c in sweep} == set(SWEEP_FIELDS)
         assert got.count(1) >= 20 and max(got) > 10
 
-    @pytest.mark.parametrize("surface, div, q, tag", [
-        (sf.projective_plane(), (2,), 4, "all"),
-        (sf.quadric_p1xp1(), (2, 2), 4, "all"),
-        (sf.quadric_p1xp1(), (1, 2), 5, "all"),
-        (sf.quadric_p1xp1(), (1, 1), 8, "grid"),
-        (sf.hirzebruch(1), (3, 1), 4, "all"),
-        (sf.hirzebruch(2), (4, 1), 4, "all"),
-    ], ids=["p2_2_q4", "quadric_22_q4", "quadric_12_q5", "quadric_11_q8_grid",
-            "hirzebruch1_31_q4", "hirzebruch2_41_q4"])
+    @pytest.mark.parametrize("surface, div, q, tag", CATALOG, ids=CATALOG_IDS)
     def test_catalog_codes_match_blocked_oracle(self, surface, div, q, tag):
         code = build_code(surface, surface.divisor(*div), q, tag)
         assert exact_min_distance(code) == blocked_min_distance(code)
+
+    @pytest.mark.parametrize("cells", [None, 1, 1000, 5000],
+                             ids=["default", "one_row", "small_table", "split_heads"])
+    def test_sweep_matches_span_table_oracle(self, monkeypatch, cells):
+        # a cap of 1 compares one head at a time with a one-row table, and
+        # 5000 cuts the heads of one leading index into uneven batches
+        if cells is not None:
+            monkeypatch.setattr(cd, "MAX_KERNEL_CELLS", cells)
+        sweep = random_sweep_codes(seed=7, count=220)
+        assert ([exact_min_distance(c) for c in sweep]
+                == [span_table_min_distance(c) for c in sweep])
+
+    def test_split_heads_cap_splits_batches(self):
+        # under the documented layout, a cap of 5000 cuts the heads of
+        # leading index 0 into several batches, the last one short
+        def split(code):
+            q, n, k = code.field.q, code.n, code.k
+            s = 1
+            while s + 1 < k and q ** (s + 1) * n <= 5000 >> 2:
+                s += 1
+            heads = q ** max(0, k - 1 - s)
+            batch = max(1, 5000 // (n * q ** min(s, k - 1)))
+            return 1 < batch < heads and heads % batch != 0
+        assert sum(map(split, random_sweep_codes(seed=7, count=220))) >= 50
+
+    @pytest.mark.parametrize("cells", [None, 5000], ids=["default", "split_heads"])
+    @pytest.mark.parametrize("surface, div, q, tag", CATALOG, ids=CATALOG_IDS)
+    def test_catalog_codes_match_span_table_oracle(self, monkeypatch, surface, div,
+                                                   q, tag, cells):
+        if cells is not None:
+            monkeypatch.setattr(cd, "MAX_KERNEL_CELLS", cells)
+        code = build_code(surface, surface.divisor(*div), q, tag)
+        assert exact_min_distance(code) == span_table_min_distance(code)
+
+    def test_wide_field_elements_stay_uint16(self):
+        # F_729 elements do not fit in uint8; grid (2, 0) on 9 x 7 points is
+        # RS(9, 3) x RS(7, 1), so d = 7 * 7
+        s = sf.quadric_p1xp1()
+        code = build_code(s, s.divisor(2, 0), 729, "grid",
+                          (range(0, 729, 81), range(0, 700, 100)))
+        assert (code.n, code.k) == (63, 3)
+        assert code.field.numpy_tables()[0].dtype == "uint16"
+        assert exact_min_distance(code) == 49 == span_table_min_distance(code)
+
+    def test_agreement_count_past_uint8(self):
+        # d = 10, while the weight-10 row agrees with the zero word in 290
+        # positions: a uint8 count would wrap to 34 and report weight 266
+        field = gf.field_from_order(3)
+        rows = ((1,) * 10 + (0,) * 290, (0,) * 10 + (2,) * 290)
+        code = cd.LinearCode(field=field, n=300, k=2, generator=rows,
+                             section_count=2)
+        assert exact_min_distance(code) == 10
+        assert span_table_min_distance(code) == blocked_min_distance(code) == 10
 
     def test_memory_bounded_by_cell_cap(self):
         # P^2, lines at q = 64: n = 4161 and d = q^2

@@ -153,6 +153,14 @@ class TestArithmetic:
             assert add[a, b] == F.add(a, b)
             assert mul[a, b] == F.mul(a, b)
 
+    @pytest.mark.parametrize("q, dtype", [(2, "uint8"), (256, "uint8"),
+                                          (257, "uint16"), (729, "uint16")])
+    def test_numpy_tables_narrow_dtype(self, q, dtype):
+        F = gf.field_from_order(q)
+        add, mul = F.numpy_tables()
+        assert (add.dtype, mul.dtype) == (dtype, dtype)
+        assert F.numpy_tables()[0] is add              # built once, not per call
+
     def test_division(self):
         F = make_field(7, 1)
         for a in range(7):
