@@ -25,16 +25,16 @@ print("  #D =", tw.hyperelliptic_point_count(d),
       " (naive recount:", tw.naive_point_count(d), ")")
 
 # Frobenius on the Jacobian 2-torsion, modeled on the roots of the branch
-# polynomial: split factors act trivially, quadratic pairs act by swaps.
+# polynomial: split factors are fixed roots, quadratic pairs are swapped.
 mc, md = tw.two_torsion_frobenius(c), tw.two_torsion_frobenius(d)
-print("  split module = identity of size", mc.dim, ":",
-      list(mc.rows) == [1 << i for i in range(mc.dim)])
+print("  Frobenius cycle types on the roots: C", mc.cycles, " D", md.cycles)
+print("  split module fixed dimension:", tw.fixed_space_dim(mc), "of", mc.dim)
 print("  quadratic module fixed dimension:", tw.fixed_space_dim(md))
 print("  Kunneth invariants:", tw.kunneth_invariants(mc, md))
 
 # The boundary certificate.  Everything is recomputed from the sampled
 # polynomials: point counts by character sums, invariant dimensions from
-# the actual matrices (cross-checked against the closed forms),
+# the Frobenius cycle types (cross-checked against the closed forms),
 # and the inequality by squaring, never by floating square roots.
 t0 = time.time()
 cert = tw.hyperelliptic_product_certificate(67, 30, 30, 1, seed=1)

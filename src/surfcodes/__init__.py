@@ -12,13 +12,12 @@ Subpackage map:
 * ``towers``     hyperelliptic point counts, 2-torsion Frobenius modules,
                  Golod-Shafarevich certificates
 * ``asymptotic`` exact rational (kappa, chi) -> (delta, R) maps and diagrams
-* ``f2``         dense GF(2) linear algebra on bitmask rows
 * ``errors``     the three exception types, one per CLI exit code:
                  Precondition, BudgetExceeded, InvariantError
 * ``cli``        the ``surfcodes`` command-line tool
 """
 
-from . import asymptotic, bounds, codes, errors, f2, gf, surfaces, towers
+from . import asymptotic, bounds, codes, errors, gf, surfaces, towers
 from .bounds import BoundReport, lifted_bound, parameter_report
 from .codes import LinearCode, build_code, exact_min_distance, rational_points, section_basis
 from .gf import FieldSpec, Polynomial, make_field, poly_factor
@@ -30,7 +29,7 @@ from .towers import (HyperellipticCurve, TowerCertificate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "asymptotic", "bounds", "codes", "errors", "f2", "gf", "surfaces", "towers",
+    "asymptotic", "bounds", "cli", "codes", "errors", "gf", "surfaces", "towers",
     "BoundReport", "lifted_bound", "parameter_report",
     "LinearCode", "build_code", "exact_min_distance", "rational_points",
     "section_basis",

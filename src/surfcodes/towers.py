@@ -7,9 +7,10 @@ A hyperelliptic curve here is y^2 = f(t) over odd F_q, with f squarefree of
 even degree 2g + 2 >= 6.  The 2-torsion of its Jacobian is modeled on the
 roots of f: take the sum-zero subspace of F_2^{roots} modulo the all-ones
 vector (dimension 2g) with the Frobenius acting by its permutation of the
-roots.  The matrix is written in the fixed basis of projected differences of
-consecutive roots (roots ordered factor by factor, factors in canonical
-order), so results are reproducible.
+roots.  That permutation has the cycle type of the factor degrees of f, and
+the invariant dimensions are read off the two cycle types in integer
+arithmetic, through the elementary divisors of each module; no matrix is
+formed.
 
 The Golod-Shafarevich inequality is evaluated by squaring only, never with
 floating-point square roots; the certified boundary instance
@@ -19,12 +20,12 @@ floating-point square roots; the certified boundary instance
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import f2
 from . import gf
 from .errors import BudgetExceeded, InvariantError, Precondition
 
@@ -127,9 +128,19 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
 
 @dataclass(frozen=True)
 class FrobeniusModule:
-    """Frobenius action on Jac[2] as a 2g x 2g bitmask-row matrix over F_2."""
-    g: int
-    rows: tuple[int, ...]
+    """Frobenius on Jac[2], given by its cycle type on the 2g + 2 roots of
+    the branch polynomial; the invariant dimensions below read nothing else."""
+    cycles: tuple[int, ...]
+
+    def __post_init__(self):
+        n = sum(self.cycles)
+        if n % 2 or n < 4 or min(self.cycles) < 1:
+            raise Precondition("cycle lengths must be positive and sum to an "
+                               f"even number >= 4, got {list(self.cycles)}")
+
+    @property
+    def g(self) -> int:
+        return (sum(self.cycles) - 2) // 2
 
     @property
     def dim(self) -> int:
@@ -139,69 +150,46 @@ class FrobeniusModule:
 def two_torsion_frobenius(curve: HyperellipticCurve) -> FrobeniusModule:
     """The Frobenius permutes the 2g + 2 roots of f with cycle type equal to
     the factor-degree multiset, read off the distinct-degree split of f (f is
-    squarefree by construction of the curve); the induced action on the root
-    module is returned in the fixed difference basis."""
-    return module_from_cycle_type(
-        [d for d, h in gf.distinct_degree(curve.f.monic())
-         for _ in range(h.degree // d)])           # ascending: canonical factor order
+    squarefree by construction of the curve), in ascending order."""
+    return FrobeniusModule(tuple(d for d, h in gf.distinct_degree(curve.f.monic())
+                                 for _ in range(h.degree // d)))
 
 
-def module_from_cycle_type(cycles: Sequence[int]) -> FrobeniusModule:
-    """The 2-torsion module of a Frobenius with the given cycle type on the
-    roots (sum(cycles) = n = 2g + 2): the matrix of the permutation acting on
-    (sum-zero vectors in F_2^n) / (all-ones) in the fixed difference basis
-    d_i = e_i + e_{i+1}, i = 0..n-3.
+def _elementary_divisors(module: FrobeniusModule) -> dict[int, list[int]]:
+    """The exponents of the elementary divisors of Frobenius on the module,
+    keyed by d: d = 1 stands for x + 1, and d > 1 for each irreducible factor
+    of the d-th cyclotomic polynomial over F_2, which all get the same
+    exponents.
 
-    A vector w in the sum-zero subspace with last coordinate zero has
-    coordinates x_j = w_0 + ... + w_j (prefix parities); when the last
-    coordinate is one, reduce w + all-ones instead.
+    A cycle of length c = 2^v m, m odd, spans F_2[x]/(x^c - 1), and
+    x^c - 1 = (x^m - 1)^(2^v) with x^m - 1 the squarefree product of the
+    cyclotomic polynomials of the d | m: every factor p of each of them gets
+    one divisor p^(2^v) (Lidl-Niederreiter, Finite Fields, Thm 2.47).
+    Passing to the sum-zero vectors modulo all-ones changes only the smallest
+    (x + 1)-blocks: with s the smallest exponent and k its multiplicity, two
+    blocks s become s - 1 for k even, and one block s becomes s - 2 for k
+    odd (an even root count rules out s = 1 with k odd).  Exponent 0 vanishes.
     """
-    n = sum(cycles)
-    if n % 2 != 0 or n < 4:
-        raise Precondition(f"cycle lengths must sum to an even number >= 4, got {n}")
-    dim = n - 2
-    perm = list(range(n))
-    start = 0
-    for length in cycles:
-        for off in range(length):
-            perm[start + off] = start + (off + 1) % length
-        start += length
-    ones = (1 << n) - 1
-    cols = []
-    for i in range(dim):
-        w = (1 << perm[i]) ^ (1 << perm[i + 1])
-        if (w >> (n - 1)) & 1:
-            w ^= ones
-        coords = 0
-        acc = 0
-        for j in range(dim):
-            acc ^= (w >> j) & 1
-            coords |= acc << j
-        cols.append(coords)
-    # cols[i] holds column i; transpose into row-bitmask convention
-    return FrobeniusModule(g=(n - 2) // 2, rows=tuple(f2.transpose_rows(cols, dim)))
+    out: dict[int, list[int]] = {}
+    for c in module.cycles:
+        v = (c & -c).bit_length() - 1
+        m = c >> v
+        for d in range(1, m + 1):
+            if m % d == 0:
+                out.setdefault(d, []).append(1 << v)
+    ones = sorted(out[1])
+    if ones.count(ones[0]) % 2:
+        ones[0] -= 2
+    else:
+        ones[0] -= 1
+        ones[1] -= 1
+    out[1] = [e for e in ones if e]
+    return out
 
 
 def fixed_space_dim(module: FrobeniusModule) -> int:
-    """dim ker(M - I) over F_2."""
-    rows = f2.add_rows(module.rows, f2.identity_rows(module.dim))
-    return f2.kernel_dim(rows, module.dim)
-
-
-def _block_counts(module: FrobeniusModule, p: Sequence[int]) -> list[int]:
-    """r_t = (dim ker p(M)^t - dim ker p(M)^(t-1)) / deg p for t = 1, 2, ...
-    while positive: the number of elementary divisors p^e of M with e >= t,
-    for an irreducible p over F_2 (coefficients ascending)."""
-    n, deg = module.dim, len(p) - 1
-    pm = f2.poly_eval_rows(p, module.rows, n)
-    power, prev, counts = pm, 0, []
-    while (kdim := f2.kernel_dim(power, n)) > prev:
-        if (kdim - prev) % deg:
-            raise InvariantError(
-                f"kernel growth {kdim - prev} is not a multiple of degree {deg}")
-        counts.append((kdim - prev) // deg)
-        prev, power = kdim, f2.matmul_rows(power, pm)
-    return counts
+    """dim ker(M - I) over F_2: the number of (x + 1)-blocks."""
+    return len(_elementary_divisors(module)[1])
 
 
 def tensor_invariant_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
@@ -212,21 +200,17 @@ def tensor_invariant_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
     Frobenius' theorem (Gantmacher, Theory of Matrices I, ch. VIII) its
     dimension is sum_p deg p * sum_{i,j} min(e_i, f_j) over the elementary
     divisors p^e_i of MC and p^f_j of C.  Those of C at p are those of MD at
-    the reciprocal p*(x) = x^deg p * p(1/x), and with r_t the number of
-    exponents >= t the inner sum is sum_t r_t(MC, p) * r_t(MD, p*).  Frobenius
-    is invertible, and the pairing needs it: a singular module raises
-    Precondition.
+    the reciprocal p*, and with r_t the number of exponents >= t the inner
+    sum is sum_t r_t(MC, p) * r_t(MD, p*).  The reciprocal of a factor of
+    the d-th cyclotomic polynomial is another one, all its factors carry the
+    same exponents, and their degrees add up to phi(d): the sum runs over d
+    with weight phi(d).
     """
-    for m in (mc, md):
-        if f2.rank(m.rows, m.dim) < m.dim:
-            raise Precondition(f"singular {m.dim}-dimensional module: "
-                               "Frobenius must be invertible")
-    cp = gf.Polynomial(gf.make_field(2, 1), f2.charpoly(mc.rows, mc.dim))
-    total = 0
-    for p, _ in gf.poly_factor(cp):
-        pairs = zip(_block_counts(mc, p.coeffs), _block_counts(md, p.coeffs[::-1]))
-        total += p.degree * sum(a * b for a, b in pairs)
-    return total
+    dc, dd = _elementary_divisors(mc), _elementary_divisors(md)
+    return sum(sum(1 for a in range(d) if math.gcd(a, d) == 1)
+               * sum(sum(e >= t for e in es) * sum(f >= t for f in dd[d])
+                     for t in range(1, max(es, default=0) + 1))
+               for d, es in dc.items() if d in dd)
 
 
 def kunneth_invariants(mc: FrobeniusModule, md: FrobeniusModule) -> dict:
@@ -332,8 +316,9 @@ def _side(f: gf.Polynomial) -> tuple:
 
 def _checked_invariants(mc: FrobeniusModule, md: FrobeniusModule) -> dict:
     """kunneth_invariants of a split module MC (genus g1) and a quadratic
-    module MD (genus g2), cross-checked against their closed forms; a
-    mismatch raises InvariantError.  For even g2 the closed forms are
+    module MD (genus g2), computed from their general cycle-type formula and
+    cross-checked against the closed forms of this pair; a mismatch raises
+    InvariantError.  For even g2 the closed forms are
     h1G = 2 g1 + g2 and h2G = 2 g1 g2 + 2.  For odd g2 those are off by one
     invariant: the subsets picking one root from each quadratic pair have
     even size exactly when g2 is odd, and such a subset maps to its
@@ -381,10 +366,10 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
     2 g1 + 2 distinct linear factors) and D quadratic (g a product of g2 + 1
     distinct irreducible quadratics), both monic.
 
-    The invariant dimensions are computed from the actual Frobenius modules
-    and cross-checked against closed forms (_checked_invariants), raising
-    InvariantError on a mismatch; the certificate always uses the module
-    values.  Both branch polynomials are sampled before either curve is
+    The invariant dimensions are computed from the Frobenius cycle types of
+    the two sampled curves and cross-checked against closed forms
+    (_checked_invariants), raising InvariantError on a mismatch; the
+    certificate always uses the computed values.  Both branch polynomials are sampled before either curve is
     built.  The GS inequality is evaluated at the worst case r_T = 3 rho + 1.
     Hypothesis failures set condition flags rather than raising.
     """
@@ -403,14 +388,18 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
     order, equal to the passing hyperelliptic_product_certificate results.
     Candidates the branch sampling cannot realize (too few linear or
     irreducible quadratic factors, genus < 2, rho < 1) are skipped; the total
-    candidate count is budget-guarded.  Within one call each side is built
-    once per genus and the invariants once per (g1, g2); rho enters only the
-    GS arithmetic."""
+    candidate count is budget-guarded, and an empty range gives [] at once.
+    Within one call each side is built once per genus and the invariants
+    once per (g1, g2); rho enters only the GS arithmetic."""
     if gf.field_from_order(q).q % 2 == 0:
         raise Precondition("tower search needs odd q")
-    total = len(g1_range) * len(g2_range) * len(rho_range)
+    # count a range unlisted, as codes.grid_sides does; len() overflows at 2^63
+    total = math.prod(max(0, -((r.start - r.stop) // r.step)) if isinstance(r, range)
+                      else len(r) for r in (g1_range, g2_range, rho_range))
     if total > SEARCH_CANDIDATE_BUDGET:
         raise BudgetExceeded(f"{total} candidates exceed {SEARCH_CANDIDATE_BUDGET}")
+    if total == 0:
+        return []                   # the other ranges may be too long to walk
 
     def counted(values, ok):
         # the feasible values in order, each with its multiplicity

@@ -1,20 +1,21 @@
 """Reference implementations kept as test oracles.
 
-The library computes the Kunneth invariant dimension from elementary
-divisors and GF(2) ranks by leading-bit elimination on Python ints.  The
-paths below are the earlier, independent ways of computing the same
-numbers: the rank of MC (x) MD - I on the Kronecker product, a packed numpy
-elimination, and the semisimple-only eigenvalue pairing.  Tests compare the
-library against them, also on random invertible matrices drawn here.
+The library computes the Kunneth invariant dimensions from the two
+Frobenius cycle types alone.  The matrix path it replaced is here: the
+bitmask GF(2) matrix of a cycle type with its row helpers, and the
+elementary divisors read off the factored characteristic polynomial (by
+the Samuelson-Berkowitz recurrence) and the kernel ranks of powers of p(M).
+So are the independent ways of computing the same numbers: the rank of
+MC (x) MD - I on the Kronecker product, a packed numpy elimination, and the
+semisimple-only eigenvalue pairing.  Tests compare the library against
+them, and the matrix path also on random invertible matrices drawn here.
 
 The exact minimum distance has its two earlier kernels here too: blocks of
 message indices decoded digit by digit, with one table multiply and one
 table add per free row and message; and the row-major span table of the
 last generator rows, with one comparison against it per head codeword.
 
-The characteristic polynomial over GF(2) has its Samuelson-Berkowitz
-recurrence here, and the quadratic branch sampler its list of all q^2
-pairs (b, c).
+The quadratic branch sampler has its list of all q^2 pairs (b, c) here.
 
 Polynomial product, division, modular power and evaluation over F_p have
 their per-coefficient schoolbook loops here, one FieldSpec.add/sub/mul call
@@ -37,25 +38,172 @@ import random
 import numpy as np
 
 from surfcodes import codes as cd
-from surfcodes import f2, gf
+from surfcodes import gf
 from surfcodes import surfaces as sf
 from surfcodes.errors import BudgetExceeded, InvariantError, Precondition
-from surfcodes.towers import FrobeniusModule
 
 
 class TooLarge(RuntimeError):
     pass
 
 
+# -- GF(2) matrices on bitmask rows -------------------------------------------
+# A matrix is a sequence of Python ints: row i has bit j set iff entry (i, j)
+# is 1.  A module-like matrix is any object with dim and rows.
+
+def identity_rows(n: int) -> list[int]:
+    return [1 << i for i in range(n)]
+
+
+def add_rows(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return [x ^ y for x, y in zip(a, b)]
+
+
+def matmul_rows(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Row-convention product: (AB)[i] = xor of B[k] over set bits k of A[i]."""
+    out = []
+    for row in a:
+        acc = 0
+        r = row
+        while r:
+            k = (r & -r).bit_length() - 1
+            acc ^= b[k]
+            r &= r - 1
+        out.append(acc)
+    return out
+
+
+def transpose_rows(rows: Sequence[int], ncols: int) -> list[int]:
+    out = [0] * ncols
+    for i, row in enumerate(rows):
+        r = row
+        while r:
+            j = (r & -r).bit_length() - 1
+            out[j] |= 1 << i
+            r &= r - 1
+    return out
+
+
+def poly_eval_rows(coeffs01: Sequence[int], m: Sequence[int], n: int) -> list[int]:
+    """Evaluate a GF(2)[x] polynomial (coeffs ascending, entries 0/1) at a
+    matrix, by Horner."""
+    acc = [0] * n
+    ident = identity_rows(n)
+    for c in reversed(list(coeffs01)):
+        acc = matmul_rows(acc, m)
+        if c & 1:
+            acc = add_rows(acc, ident)
+    return acc
+
+
+def rank(rows: Sequence[int], ncols: int) -> int:
+    """Rank over GF(2) of rows below 2**ncols, by elimination on leading
+    bits: each row is reduced by the pivot owning its leading bit until it
+    vanishes or leads with a new bit, which makes it a pivot."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
+
+
+def kernel_dim(rows: Sequence[int], ncols: int) -> int:
+    """Dimension of {x : Mx = 0} for the nrows-by-ncols matrix M."""
+    return ncols - rank(rows, ncols)
+
+
 def matpow_rows(a: Sequence[int], e: int, n: int) -> list[int]:
-    result = f2.identity_rows(n)
+    result = identity_rows(n)
     base = list(a)
     while e:
         if e & 1:
-            result = f2.matmul_rows(result, base)
-        base = f2.matmul_rows(base, base)
+            result = matmul_rows(result, base)
+        base = matmul_rows(base, base)
         e >>= 1
     return result
+
+
+def cycle_type_matrix(cycles: Sequence[int]) -> SimpleNamespace:
+    """The 2-torsion module of a Frobenius with the given cycle type on the
+    roots (sum(cycles) = n = 2g + 2) as a matrix: the permutation acting on
+    (sum-zero vectors in F_2^n) / (all-ones) in the fixed difference basis
+    d_i = e_i + e_{i+1}, i = 0..n-3.
+
+    A vector w in the sum-zero subspace with last coordinate zero has
+    coordinates x_j = w_0 + ... + w_j (prefix parities); when the last
+    coordinate is one, reduce w + all-ones instead.
+    """
+    n = sum(cycles)
+    dim = n - 2
+    perm = list(range(n))
+    start = 0
+    for length in cycles:
+        for off in range(length):
+            perm[start + off] = start + (off + 1) % length
+        start += length
+    ones = (1 << n) - 1
+    cols = []
+    for i in range(dim):
+        w = (1 << perm[i]) ^ (1 << perm[i + 1])
+        if (w >> (n - 1)) & 1:
+            w ^= ones
+        coords = 0
+        acc = 0
+        for j in range(dim):
+            acc ^= (w >> j) & 1
+            coords |= acc << j
+        cols.append(coords)
+    # cols[i] holds column i; transpose into row-bitmask convention
+    return SimpleNamespace(dim=dim, rows=tuple(transpose_rows(cols, dim)))
+
+
+def _factored_charpoly(m) -> list[tuple[gf.Polynomial, int]]:
+    cp = gf.Polynomial(gf.make_field(2, 1), berkowitz_charpoly(list(m.rows), m.dim))
+    return gf.poly_factor(cp)
+
+
+def _block_counts(m, p: Sequence[int]) -> list[int]:
+    """r_t = (dim ker p(M)^t - dim ker p(M)^(t-1)) / deg p for t = 1, 2, ...
+    while positive: the number of elementary divisors p^e of M with e >= t,
+    for an irreducible p over F_2 (coefficients ascending)."""
+    n, deg = m.dim, len(p) - 1
+    pm = poly_eval_rows(p, m.rows, n)
+    power, prev, counts = pm, 0, []
+    while (kdim := kernel_dim(power, n)) > prev:
+        if (kdim - prev) % deg:
+            raise InvariantError(
+                f"kernel growth {kdim - prev} is not a multiple of degree {deg}")
+        counts.append((kdim - prev) // deg)
+        prev, power = kdim, matmul_rows(power, pm)
+    return counts
+
+
+def matrix_invariant_dim(mc, md) -> int:
+    """dim ker(MC (x) MD - I) over F_2 on two invertible matrices, by the
+    same pairing of elementary divisors as towers.tensor_invariant_dim
+    (sum_p deg p * sum_t r_t(MC, p) * r_t(MD, p*)), with the divisors found
+    from the factored characteristic polynomial and the kernel ranks of
+    powers of p(M).  A singular matrix raises Precondition."""
+    for m in (mc, md):
+        if rank(m.rows, m.dim) < m.dim:
+            raise Precondition(f"singular {m.dim}-dimensional module: "
+                               "Frobenius must be invertible")
+    total = 0
+    for p, _ in _factored_charpoly(mc):
+        pairs = zip(_block_counts(mc, p.coeffs), _block_counts(md, p.coeffs[::-1]))
+        total += p.degree * sum(a * b for a, b in pairs)
+    return total
+
+
+def matrix_kunneth_invariants(mc, md) -> dict:
+    """towers.kunneth_invariants on two matrices: fixed spaces by rank."""
+    fixed = sum(kernel_dim(add_rows(m.rows, identity_rows(m.dim)), m.dim)
+                for m in (mc, md))
+    return {"h1G": fixed, "h2G": matrix_invariant_dim(mc, md) + 2}
 
 
 def kron_rows(a: Sequence[int], na: int, b: Sequence[int], nb: int) -> list[int]:
@@ -108,29 +256,26 @@ def packed_rank(rows: Sequence[int], ncols: int) -> int:
     return r
 
 
-def kron_invariant_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
+def kron_invariant_dim(mc, md) -> int:
     """dim ker(MC (x) MD - I) over F_2, computed directly on the Kronecker
-    product; refuses factors above 64 dimensions (a 4096 x 4096 rank)."""
+    product of two matrices; refuses factors above 64 dimensions (a
+    4096 x 4096 rank)."""
     if mc.dim > 64 or md.dim > 64:
         raise TooLarge("factors must have dimension <= 64 each")
     big = kron_rows(list(mc.rows), mc.dim, list(md.rows), md.dim)
     n = mc.dim * md.dim
-    rows = f2.add_rows(big, f2.identity_rows(n))
+    rows = add_rows(big, identity_rows(n))
     return n - packed_rank(rows, n)
 
 
-def eigen_multiplicities(module: FrobeniusModule
-                         ) -> list[tuple[gf.Polynomial, int]]:
+def eigen_multiplicities(module) -> list[tuple[gf.Polynomial, int]]:
     """Geometric multiplicities per irreducible factor of the characteristic
     polynomial over F_2: for a factor p of degree k, each of its k conjugate
     eigenvalues has multiplicity dim ker(p(M)) / k."""
     n = module.dim
-    f2field = gf.make_field(2, 1)
-    cp = gf.Polynomial(f2field, f2.charpoly(list(module.rows), n))
     out = []
-    for p, _ in gf.poly_factor(cp):
-        pm = f2.poly_eval_rows(p.coeffs, list(module.rows), n)
-        kdim = f2.kernel_dim(pm, n)
+    for p, _ in _factored_charpoly(module):
+        kdim = kernel_dim(poly_eval_rows(p.coeffs, module.rows, n), n)
         if kdim % p.degree != 0:
             raise InvariantError(
                 f"kernel dimension {kdim} is not a multiple of degree {p.degree}")
@@ -138,35 +283,26 @@ def eigen_multiplicities(module: FrobeniusModule
     return out
 
 
-def is_semisimple(module: FrobeniusModule) -> bool:
+def is_semisimple(module) -> bool:
     """True iff the minimal polynomial is squarefree over F_2, checked as
     ker p(M) = ker p(M)^2 for every irreducible factor p of the
     characteristic polynomial."""
     n = module.dim
-    rows = list(module.rows)
-    f2field = gf.make_field(2, 1)
-    cp = gf.Polynomial(f2field, f2.charpoly(rows, n))
-    for p, _ in gf.poly_factor(cp):
-        pm = f2.poly_eval_rows(p.coeffs, rows, n)
-        pm2 = f2.matmul_rows(pm, pm)
-        if f2.kernel_dim(pm, n) != f2.kernel_dim(pm2, n):
+    for p, _ in _factored_charpoly(module):
+        pm = poly_eval_rows(p.coeffs, module.rows, n)
+        if kernel_dim(pm, n) != kernel_dim(matmul_rows(pm, pm), n):
             return False
     return True
 
 
-def eigen_pairing_dim(mc: FrobeniusModule, md: FrobeniusModule) -> int:
+def eigen_pairing_dim(mc, md) -> int:
     """Sum over eigenvalues lambda of m_{lambda,C} * m_{lambda^{-1},D}
     (algebraic-closure eigenspace dimensions), valid for the invariant
     dimension when at least one factor is semisimple.  Computed per
     irreducible factor p via its reciprocal polynomial."""
-    multsc = eigen_multiplicities(mc)
     multsd = {p.coeffs: m for p, m in eigen_multiplicities(md)}
-    f2field = gf.make_field(2, 1)
-    total = 0
-    for p, m in multsc:
-        recip = gf.Polynomial(f2field, tuple(reversed(p.coeffs)))
-        total += p.degree * m * multsd.get(recip.coeffs, 0)
-    return total
+    return sum(p.degree * m * multsd.get(p.coeffs[::-1], 0)
+               for p, m in eigen_multiplicities(mc))
 
 
 def random_invertible(rng) -> SimpleNamespace:

@@ -148,25 +148,28 @@ def _random_cycle_type(rng):
 
 
 def test_criterion_8_kunneth_oracle():
+    # cycle types on the library formula and random invertible matrices on
+    # the moved matrix path, both against the Kronecker oracle
     ok = True
     for g1 in (1, 2, 3, 5):
         for g2 in (2, 4):
-            mc = tw.module_from_cycle_type([1] * (2 * g1 + 2))
-            md = tw.module_from_cycle_type([2] * (g2 + 1))
+            mc = tw.FrobeniusModule((1,) * (2 * g1 + 2))
+            md = tw.FrobeniusModule((2,) * (g2 + 1))
             ok &= tw.tensor_invariant_dim(mc, md) == 2 * g1 * g2
     rng = random.Random(1234)
     semisimple = 0
     for _ in range(300):
-        mc = tw.module_from_cycle_type(_random_cycle_type(rng))
-        md = tw.module_from_cycle_type(_random_cycle_type(rng))
-        kron = oracles.kron_invariant_dim(mc, md)
+        mc = tw.FrobeniusModule(tuple(_random_cycle_type(rng)))
+        md = tw.FrobeniusModule(tuple(_random_cycle_type(rng)))
+        xc, xd = oracles.cycle_type_matrix(mc.cycles), oracles.cycle_type_matrix(md.cycles)
+        kron = oracles.kron_invariant_dim(xc, xd)
         ok &= tw.tensor_invariant_dim(mc, md) == kron
-        if oracles.is_semisimple(mc) or oracles.is_semisimple(md):
-            ok &= oracles.eigen_pairing_dim(mc, md) == kron
+        if oracles.is_semisimple(xc) or oracles.is_semisimple(xd):
+            ok &= oracles.eigen_pairing_dim(xc, xd) == kron
             semisimple += 1
     for _ in range(100):
         mc, md = oracles.random_invertible(rng), oracles.random_invertible(rng)
-        ok &= tw.tensor_invariant_dim(mc, md) == oracles.kron_invariant_dim(mc, md)
+        ok &= oracles.matrix_invariant_dim(mc, md) == oracles.kron_invariant_dim(mc, md)
     report("8 Kunneth invariants = Kronecker oracle on 300 cycle-type and 100 "
            f"invertible pairs; eigen formula on the {semisimple} semisimple ones", ok)
 

@@ -395,6 +395,12 @@ ERROR_TABLE = [
      2, "parse", "'1e5000': digits plus exponent exceed 4300"),
     ("epsilon_long_denominator", ("bounds", *_QUADRIC, "--epsilon", "1e-5000"),
      2, "parse", "'1e-5000': digits plus exponent exceed 4300"),
+    ("towers_g1_overflow", ("tower", "search", "--q", "67", "--g1", f"1..{10 ** 20}",
+                            "--g2", "2", "--rho", "1"),
+     3, "budget", f"{10 ** 20} candidates exceed 1000000"),
+    ("towers_rho_overflow", ("tower", "search", "--q", "67", "--g1", "2", "--g2", "2",
+                             "--rho", f"1..{10 ** 20}"),
+     3, "budget", f"{10 ** 20} candidates exceed 1000000"),
 ]
 
 

@@ -1,8 +1,10 @@
+"""The GF(2) bitmask-row helpers and the characteristic polynomial of the
+matrix oracle in oracles.py."""
+
 import random
 
 import oracles
-from surfcodes import f2, gf
-from surfcodes import towers as tw
+from surfcodes import gf
 
 
 def random_rows(rng, n):
@@ -37,14 +39,14 @@ def brute_charpoly(rows, n):
 
 class TestRank:
     def test_identity(self):
-        assert f2.rank(f2.identity_rows(10), 10) == 10
+        assert oracles.rank(oracles.identity_rows(10), 10) == 10
 
     def test_zero(self):
-        assert f2.rank([0, 0, 0], 5) == 0
-        assert f2.rank([], 5) == 0
+        assert oracles.rank([0, 0, 0], 5) == 0
+        assert oracles.rank([], 5) == 0
 
     def test_duplicated_rows(self):
-        assert f2.rank([0b101, 0b101, 0b011], 3) == 2
+        assert oracles.rank([0b101, 0b101, 0b011], 3) == 2
 
     def test_against_python_elimination(self):
         rng = random.Random(11)
@@ -62,8 +64,8 @@ class TestRank:
                     if i != rank and (work[i] >> c) & 1:
                         work[i] ^= work[rank]
                 rank += 1
-            assert f2.rank(rows, n) == rank
-            assert f2.kernel_dim(rows, n) == n - rank
+            assert oracles.rank(rows, n) == rank
+            assert oracles.kernel_dim(rows, n) == n - rank
 
     def test_against_packed_oracle(self):
         # dense square, rectangular both ways, low rank, and Kronecker
@@ -76,28 +78,28 @@ class TestRank:
             few = rows[:3]          # rank <= 3 after mixing
             low = [rng.choice(few) ^ rng.choice(few) for _ in range(nrows)]
             for m in (rows, low):
-                assert f2.rank(m, ncols) == oracles.packed_rank(m, ncols)
+                assert oracles.rank(m, ncols) == oracles.packed_rank(m, ncols)
         for na, nb in ((3, 4), (6, 6), (8, 10)):
             a = [rng.getrandbits(na) for _ in range(na)]
             b = [rng.getrandbits(nb) for _ in range(nb)]
             n = na * nb
             for k in (oracles.kron_rows(a, na, b, nb),
-                      f2.add_rows(oracles.kron_rows(a, na, b, nb),
-                                  f2.identity_rows(n))):
-                assert f2.rank(k, n) == oracles.packed_rank(k, n)
+                      oracles.add_rows(oracles.kron_rows(a, na, b, nb),
+                                  oracles.identity_rows(n))):
+                assert oracles.rank(k, n) == oracles.packed_rank(k, n)
 
 
 class TestMatOps:
     def test_matmul_identity(self):
         rng = random.Random(3)
         rows = random_rows(rng, 9)
-        assert f2.matmul_rows(rows, f2.identity_rows(9)) == rows
-        assert f2.matmul_rows(f2.identity_rows(9), rows) == rows
+        assert oracles.matmul_rows(rows, oracles.identity_rows(9)) == rows
+        assert oracles.matmul_rows(oracles.identity_rows(9), rows) == rows
 
     def test_transpose_involution(self):
         rng = random.Random(5)
         rows = random_rows(rng, 12)
-        assert f2.transpose_rows(f2.transpose_rows(rows, 12), 12) == rows
+        assert oracles.transpose_rows(oracles.transpose_rows(rows, 12), 12) == rows
 
     def test_kron_against_definition(self):
         rng = random.Random(9)
@@ -115,8 +117,8 @@ class TestMatOps:
     def test_matpow(self):
         # 4-cycle permutation matrix has order 4
         perm = [1 << ((i + 1) % 4) for i in range(4)]
-        assert oracles.matpow_rows(perm, 4, 4) == f2.identity_rows(4)
-        assert oracles.matpow_rows(perm, 2, 4) != f2.identity_rows(4)
+        assert oracles.matpow_rows(perm, 4, 4) == oracles.identity_rows(4)
+        assert oracles.matpow_rows(perm, 2, 4) != oracles.identity_rows(4)
 
 
 class TestCharpoly:
@@ -125,7 +127,7 @@ class TestCharpoly:
         for n in (1, 2, 3, 4, 5, 6):
             for _ in range(8):
                 rows = random_rows(rng, n)
-                got = f2.charpoly(rows, n)
+                got = oracles.berkowitz_charpoly(rows, n)
                 want = brute_charpoly(rows, n)
                 assert gf.Polynomial(gf.make_field(2, 1), got) == want
 
@@ -133,26 +135,6 @@ class TestCharpoly:
         rng = random.Random(33)
         for n in (8, 13, 20):
             rows = random_rows(rng, n)
-            cp = f2.charpoly(rows, n)
+            cp = oracles.berkowitz_charpoly(rows, n)
             assert len(cp) == n + 1 and cp[-1] == 1
-            assert f2.poly_eval_rows(cp, rows, n) == f2.zero_rows(n)
-
-    def test_hessenberg_matches_berkowitz(self):
-        # sparse, dense and permutation-module matrices for every n <= 24,
-        # one of the three in turn for 24 < n <= 70 (the oracle is O(n^4))
-        rng = random.Random(44)
-        for n in range(71):
-            sparse = [sum(1 << j for j in range(n) if rng.random() < 0.06)
-                      for _ in range(n)]
-            if n % 2 == 0 and n >= 2:
-                cycles, left = [], n + 2
-                while left:
-                    cycles.append(rng.randint(1, left))
-                    left -= cycles[-1]
-                perm = list(tw.module_from_cycle_type(cycles).rows)
-            else:
-                order = rng.sample(range(n), n)
-                perm = [1 << j for j in order]
-            kinds = (sparse, random_rows(rng, n), perm)
-            for rows in (kinds if n <= 24 else kinds[n % 3:n % 3 + 1]):
-                assert f2.charpoly(rows, n) == oracles.berkowitz_charpoly(rows, n)
+            assert oracles.poly_eval_rows(cp, rows, n) == [0] * n

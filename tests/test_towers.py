@@ -8,14 +8,14 @@ import pytest
 
 import oracles
 from oracles import eigen_multiplicities, eigen_pairing_dim, random_invertible
-from surfcodes import f2, gf
+from surfcodes import gf
 from surfcodes import towers as tw
 from surfcodes.errors import BudgetExceeded, InvariantError, Precondition
 from surfcodes.towers import (HyperellipticCurve, fixed_space_dim,
                               golod_shafarevich_check, gs_check_chi_form, hyperelliptic_point_count,
                               hyperelliptic_product_certificate,
                               kunneth_invariants, marked_invariants,
-                              module_from_cycle_type, naive_point_count,
+                              naive_point_count,
                               r_t_bracket, r_t_upper, sample_branch_poly,
                               search_parameters, two_torsion_frobenius)
 
@@ -123,13 +123,22 @@ class TestSampling:
                     oracles.listed_quadratic_poly(q, count, seed)
 
 
+def module(cycles):
+    return tw.FrobeniusModule(tuple(cycles))
+
+
+def matrix(m):
+    return oracles.cycle_type_matrix(m.cycles)
+
+
 class TestFrobeniusModules:
     def test_split_is_identity(self):
         F11 = gf.make_field(11, 1)
         f = sample_branch_poly(11, 8, "linear", seed=2)
         m = two_torsion_frobenius(HyperellipticCurve(F11, f))
         assert m.g == 3 and m.dim == 6
-        assert list(m.rows) == f2.identity_rows(6)
+        assert m.cycles == (1,) * 8
+        assert list(matrix(m).rows) == oracles.identity_rows(6)
         assert fixed_space_dim(m) == 6
 
     def test_quadratic_fixed_dim_even_genus(self):
@@ -158,15 +167,16 @@ class TestFrobeniusModules:
             assert m.dim == f.degree - 2
 
     def test_six_cycle_order(self):
-        m = module_from_cycle_type([6])
-        rows = list(m.rows)
-        assert oracles.matpow_rows(rows, 6, 4) == f2.identity_rows(4)
-        assert oracles.matpow_rows(rows, 3, 4) != f2.identity_rows(4)
+        m = module([6])
+        rows = list(matrix(m).rows)
+        assert oracles.matpow_rows(rows, 6, 4) == oracles.identity_rows(4)
+        assert oracles.matpow_rows(rows, 3, 4) != oracles.identity_rows(4)
         # the orbit indicator is the all-ones vector, which the quotient
         # kills: no invariants survive and the char poly is (x^2+x+1)^2
         assert fixed_space_dim(m) == 0
         F2 = gf.make_field(2, 1)
-        assert gf.Polynomial(F2, f2.charpoly(rows, 4)) == F2.poly((1, 0, 1, 0, 1))
+        assert gf.Polynomial(F2, oracles.berkowitz_charpoly(rows, 4)) == \
+            F2.poly((1, 0, 1, 0, 1))
 
     def test_module_matches_curve_factorization(self):
         # an irreducible sextic gives a single 6-cycle
@@ -176,8 +186,7 @@ class TestFrobeniusModules:
             f = squarefree_poly(field, 6, rng)
             if len(gf.poly_factor(f)) == 1:
                 break
-        m = two_torsion_frobenius(HyperellipticCurve(field, f))
-        assert list(m.rows) == list(module_from_cycle_type([6]).rows)
+        assert two_torsion_frobenius(HyperellipticCurve(field, f)).cycles == (6,)
 
     @pytest.mark.parametrize("q", [7, 9, 11])
     def test_cycle_type_matches_full_factorization(self, q):
@@ -189,44 +198,51 @@ class TestFrobeniusModules:
             f = squarefree_poly(field, rng.choice((6, 8, 10, 12)), rng)
             degrees = [p.degree for p, _ in gf.poly_factor(f)]
             m = two_torsion_frobenius(HyperellipticCurve(field, f))
-            assert m.rows == module_from_cycle_type(degrees).rows
+            assert m.cycles == tuple(degrees)
+
+    def test_cycle_type_validation(self):
+        for cycles in ((), (1, 2), (2,), (3, 0, 1), (5, -1)):
+            with pytest.raises(Precondition, match="cycle lengths must be positive"):
+                module(cycles)
 
 
 class TestEigenData:
     def test_identity(self):
-        m = module_from_cycle_type([1] * 6)
-        mults = eigen_multiplicities(m)
+        mults = eigen_multiplicities(matrix(module([1] * 6)))
         assert len(mults) == 1
         p, mult = mults[0]
         assert p.coeffs == (1, 1) and mult == 4
 
     def test_quadratic_case(self):
-        m = module_from_cycle_type([2, 2, 2])  # g2 = 2
+        m = matrix(module([2, 2, 2]))  # g2 = 2
         ones = [mult for p, mult in eigen_multiplicities(m) if p.coeffs == (1, 1)]
         assert ones == [2]
 
     def test_tensor_identity_times_module(self):
-        md = module_from_cycle_type([2, 2, 2])
+        md = module([2, 2, 2])
         for g1 in (1, 2, 3):
-            mc = module_from_cycle_type([1] * (2 * g1 + 2))
+            mc = module([1] * (2 * g1 + 2))
             assert tw.tensor_invariant_dim(mc, md) == 2 * g1 * 2
 
     def test_tensor_i2_i2(self):
-        i2 = module_from_cycle_type([1, 1, 1, 1])
+        i2 = module([1, 1, 1, 1])
         assert tw.tensor_invariant_dim(i2, i2) == 4
 
     def test_unipotent_pair_exceeds_eigen_formula(self):
-        uni = tw.FrobeniusModule(g=1, rows=(0b11, 0b10))
+        # not a permutation module: the matrix oracle answers
+        uni = SimpleNamespace(dim=2, rows=(0b11, 0b10))
         assert not oracles.is_semisimple(uni)
-        assert tw.tensor_invariant_dim(uni, uni) == 2
+        assert oracles.matrix_invariant_dim(uni, uni) == 2
+        assert oracles.kron_invariant_dim(uni, uni) == 2
         assert eigen_pairing_dim(uni, uni) == 1
 
     def test_too_large(self):
-        # the Kronecker oracle refuses sides above 64 dimensions; the
-        # elementary-divisor path answers (I_66 (x) I_66 fixes everything)
-        big = tw.FrobeniusModule(g=33, rows=tuple(f2.identity_rows(66)))
+        # the Kronecker oracle refuses sides above 64 dimensions; the matrix
+        # oracle and the cycle types answer (I_66 (x) I_66 fixes everything)
+        big = module([1] * 68)
         with pytest.raises(oracles.TooLarge):
-            oracles.kron_invariant_dim(big, big)
+            oracles.kron_invariant_dim(matrix(big), matrix(big))
+        assert oracles.matrix_invariant_dim(matrix(big), matrix(big)) == 66 * 66
         assert tw.tensor_invariant_dim(big, big) == 66 * 66
 
     def test_eigen_formula_matches_kron_with_semisimple_factor(self):
@@ -235,28 +251,31 @@ class TestEigenData:
         rng = random.Random(99)
         semisimple = 0
         for _ in range(300):
-            mc = module_from_cycle_type(random_cycle_type(rng))
-            md = module_from_cycle_type(random_cycle_type(rng))
-            kron = oracles.kron_invariant_dim(mc, md)
+            mc = module(random_cycle_type(rng))
+            md = module(random_cycle_type(rng))
+            xc, xd = matrix(mc), matrix(md)
+            kron = oracles.kron_invariant_dim(xc, xd)
             assert tw.tensor_invariant_dim(mc, md) == kron
-            if oracles.is_semisimple(mc) or oracles.is_semisimple(md):
-                assert eigen_pairing_dim(mc, md) == kron
+            if oracles.is_semisimple(xc) or oracles.is_semisimple(xd):
+                assert eigen_pairing_dim(xc, xd) == kron
                 semisimple += 1
         assert 40 <= semisimple < 300      # the sample holds both kinds
 
     def test_random_invertible_pairs_match_kron(self):
+        # Jordan blocks and eigenvalues no cycle type has, on the matrix oracle
         rng = random.Random(100)
         for _ in range(150):
             mc, md = random_invertible(rng), random_invertible(rng)
-            assert tw.tensor_invariant_dim(mc, md) == \
+            assert oracles.matrix_invariant_dim(mc, md) == \
                 oracles.kron_invariant_dim(mc, md)
 
     def test_singular_module_raises(self):
+        # a cycle type is always invertible; the matrix oracle refuses
         nil = SimpleNamespace(dim=2, rows=(0b10, 0b00))   # x^2: nilpotent
-        i2 = module_from_cycle_type([1, 1, 1, 1])
+        i2 = matrix(module([1, 1, 1, 1]))
         for mc, md in ((nil, i2), (i2, nil)):
-            with pytest.raises(ValueError, match="singular"):
-                tw.tensor_invariant_dim(mc, md)
+            with pytest.raises(Precondition, match="singular"):
+                oracles.matrix_invariant_dim(mc, md)
 
 
 def random_cycle_type(rng, max_total=12):
@@ -270,11 +289,63 @@ def random_cycle_type(rng, max_total=12):
     return parts
 
 
+def cycle_types(n, largest=None):
+    """Every cycle type (partition) of n, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in cycle_types(n - part, part):
+            yield (part,) + rest
+
+
+class TestCycleTypeFormula:
+    TYPES = [module(c) for n in range(4, 11, 2) for c in cycle_types(n)]
+
+    def test_all_pairs_up_to_ten_roots(self):
+        # 80 cycle types, 6,400 pairs: the matrix oracle and the Kronecker
+        # oracle on every one
+        assert len(self.TYPES) == 80
+        mats = [matrix(m) for m in self.TYPES]
+        fixed = [oracles.kernel_dim(oracles.add_rows(x.rows, oracles.identity_rows(x.dim)),
+                                    x.dim) for x in mats]
+        for m, x, h in zip(self.TYPES, mats, fixed):
+            assert fixed_space_dim(m) == h
+        for mc, xc in zip(self.TYPES, mats):
+            for md, xd in zip(self.TYPES, mats):
+                got = tw.tensor_invariant_dim(mc, md)
+                assert got == oracles.matrix_invariant_dim(xc, xd)
+                assert got == oracles.kron_invariant_dim(xc, xd)
+
+    def test_seeded_pairs_up_to_58_roots(self):
+        # cycles up to 32 long, so 2-power parts up to 32 and odd parts
+        # with several cyclotomic factors meet in one pair
+        rng = random.Random(58)
+
+        def draw():
+            left, parts = 2 * rng.randrange(2, 30), []
+            while left:
+                parts.append(rng.randint(1, min(left, 32)))
+                left -= parts[-1]
+            return module(parts)
+
+        for _ in range(300):
+            mc, md = draw(), draw()
+            assert kunneth_invariants(mc, md) == \
+                oracles.matrix_kunneth_invariants(matrix(mc), matrix(md))
+
+    @pytest.mark.parametrize("g1, g2", [(30, 30), (29, 29), (25, 32), (29, 30)])
+    def test_certificate_families(self, g1, g2):
+        mc, md = module([1] * (2 * g1 + 2)), module([2] * (g2 + 1))
+        assert kunneth_invariants(mc, md) == \
+            oracles.matrix_kunneth_invariants(matrix(mc), matrix(md))
+
+
 class TestKunneth:
     def test_closed_forms_split_times_quadratic(self):
         for g1, g2 in ((2, 2), (3, 2), (2, 4), (4, 2)):
-            mc = module_from_cycle_type([1] * (2 * g1 + 2))
-            md = module_from_cycle_type([2] * (g2 + 1))
+            mc = module([1] * (2 * g1 + 2))
+            md = module([2] * (g2 + 1))
             kd = kunneth_invariants(mc, md)
             assert kd["h1G"] == 2 * g1 + g2
             assert kd["h2G"] == 2 * g1 * g2 + 2
@@ -282,14 +353,14 @@ class TestKunneth:
     def test_closed_forms_odd_quadratic_genus(self):
         # parity-corrected values for g2 odd
         for g1, g2 in ((2, 3), (4, 3), (3, 5)):
-            mc = module_from_cycle_type([1] * (2 * g1 + 2))
-            md = module_from_cycle_type([2] * (g2 + 1))
+            mc = module([1] * (2 * g1 + 2))
+            md = module([2] * (g2 + 1))
             kd = kunneth_invariants(mc, md)
             assert kd["h1G"] == 2 * g1 + g2 + 1
             assert kd["h2G"] == 2 * g1 * (g2 + 1) + 2
 
     def test_identity_pair(self):
-        i2 = module_from_cycle_type([1, 1, 1, 1])
+        i2 = module([1, 1, 1, 1])
         kd = kunneth_invariants(i2, i2)
         # both factors are 2-dimensional identity modules
         assert kd == {"h1G": 4, "h2G": 6}
@@ -406,6 +477,9 @@ class TestCertificates:
         # g1 = 33 needs 68 linear factors over F_67; genus < 2 and rho < 1
         assert search_parameters(67, range(33, 34), range(29, 31), range(1, 3)) == []
         assert search_parameters(11, range(-1, 2), range(-1, 2), range(-1, 1)) == []
+        # one empty range empties the product; the others are not walked
+        assert search_parameters(67, range(1, 10 ** 18), range(5, 5), range(1, 2)) == []
+        assert search_parameters(67, range(2, 3), range(1, 10 ** 30), []) == []
 
     def test_search_propagates_certificate_errors(self, monkeypatch):
         # a side error (here a g with a repeated root at g2 = 30, rejected by
