@@ -1,5 +1,5 @@
-"""Build small finite fields, exercise their arithmetic, and factor
-polynomials over them.
+"""Build small finite fields, exercise their arithmetic, and split
+polynomials over them by the degrees of their irreducible factors.
 
 Every field carries a canonical modulus (the monic irreducible of the right
 degree with the smallest base-p coefficient encoding), so everything printed
@@ -34,12 +34,13 @@ print("\nEmbedding F_3 -> F_9:", emb)
 print("Frobenius-fixed elements of F_9:",
       sorted(a for a in range(9) if ext.pow(a, 3) == a))
 
-# Factorization: squarefree split, distinct-degree split, then randomized
-# equal-degree splitting behind a fixed seed; output order is canonical.
+# Distinct-degree splitting: a monic squarefree f becomes the products of
+# its irreducible factors of each degree d, read off gcd(x^(q^d) - x, f).
+# The degrees are all the tower certificates need (Frobenius cycle types).
 F3 = gf.make_field(3, 1)
 f = F3.poly((2, 0, 1))          # x^2 + 2 = (x + 1)(x + 2)
-print("\nx^2 + 2 over F_3 factors as", gf.poly_factor(f))
+print("\nx^2 + 2 over F_3 splits as", gf.distinct_degree(f))
 g = F3.poly((1, 0, 1))          # x^2 + 1 stays irreducible over F_3
-print("x^2 + 1 over F_3 factors as", gf.poly_factor(g))
-h = gf.Polynomial.from_roots(F3, [0, 1, 2]) * g * g
-print("x(x-1)(x-2)(x^2+1)^2 recovers multiplicities:", gf.poly_factor(h))
+print("x^2 + 1 over F_3 splits as", gf.distinct_degree(g))
+h = gf.Polynomial.from_roots(F3, [0, 1]) * g * F3.poly((1, 2, 0, 1))
+print("x(x-1)(x^2+1)(x^3+2x+1) splits by degree:", gf.distinct_degree(h))

@@ -3,7 +3,7 @@
 Subpackage map:
 
 * ``gf``         exact F_q arithmetic, quadratic characters, extensions,
-                 univariate factorization
+                 distinct-degree splitting
 * ``surfaces``   the Neron-Severi catalog: intersection form, canonical
                  class, positivity flags, point counts
 * ``codes``      generator matrices, exact minimum distance, rational-locus
@@ -20,7 +20,7 @@ Subpackage map:
 from . import asymptotic, bounds, codes, errors, gf, surfaces, towers
 from .bounds import BoundReport, lifted_bound, parameter_report
 from .codes import LinearCode, build_code, exact_min_distance, rational_points, section_basis
-from .gf import FieldSpec, Polynomial, make_field, poly_factor
+from .gf import FieldSpec, Polynomial, make_field
 from .surfaces import (DivisorClass, SurfaceModel, curve_product, hirzebruch,
                        intersect, projective_plane, quadric_p1xp1)
 from .towers import (HyperellipticCurve, TowerCertificate,
@@ -33,7 +33,7 @@ __all__ = [
     "BoundReport", "lifted_bound", "parameter_report",
     "LinearCode", "build_code", "exact_min_distance", "rational_points",
     "section_basis",
-    "FieldSpec", "Polynomial", "make_field", "poly_factor",
+    "FieldSpec", "Polynomial", "make_field",
     "DivisorClass", "SurfaceModel", "curve_product", "hirzebruch",
     "intersect", "projective_plane", "quadric_p1xp1",
     "HyperellipticCurve", "TowerCertificate", "golod_shafarevich_check",

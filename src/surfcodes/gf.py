@@ -12,7 +12,7 @@ This makes every field, and hence every downstream computation, reproducible
 bit-for-bit without an external polynomial table.  For prime fields the rule
 yields the modulus x.  The modulus search, the table bootstrap and the subfield
 embeddings all use the one Polynomial arithmetic of this module over F_p:
-candidates are tested for irreducibility by distinct-degree factorization.
+candidates are tested for irreducibility by distinct-degree splitting.
 
 Element multiplication and division go through exponential/logarithm tables
 built once per field from a fixed multiplicative generator (the smallest index
@@ -28,7 +28,6 @@ m > 1, polynomial arithmetic loops over the element operations.
 from __future__ import annotations
 
 import operator
-import random
 from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -37,11 +36,6 @@ from .errors import InvariantError, Precondition
 
 MAX_FIELD_SIZE = 65536
 MAX_TABLE_ORDER = 4096
-
-# Seed for the randomized equal-degree splitting step of poly_factor.  The
-# output order is canonical (sorted) so the seed only affects internal work,
-# but fixing it keeps the work itself reproducible.
-FACTOR_SEED = 1729
 
 
 def prime_factors(n: int) -> list[int]:
@@ -413,16 +407,6 @@ class Polynomial:
             raise Precondition("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def encoding(self) -> int:
-        """Coefficient tuple read as a base-q integer (used for canonical order)."""
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * self.field.q + c
-        return e
-
-    def sort_key(self):
-        return (self.degree, self.encoding())
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -588,44 +572,6 @@ def poly_pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return Polynomial(F, result)
 
 
-def _pth_root(f: Polynomial) -> Polynomial:
-    """Inverse of the Frobenius on a polynomial whose exponents are all
-    multiples of p (i.e. f = g(x)^p for the returned g)."""
-    F = f.field
-    root_exp = F.p ** (F.m - 1)  # inverse Frobenius on coefficients
-    out = []
-    for i in range(0, len(f.coeffs), F.p):
-        out.append(F.pow(f.coeffs[i], root_exp) if f.coeffs[i] else 0)
-    return Polynomial(F, out)
-
-
-def _squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """f monic -> [(g_i, e_i)] with f = prod g_i^{e_i}, g_i squarefree monic
-    and pairwise coprime.  Characteristic-p aware (p-th power parts recurse
-    through the coefficient-wise p-th root)."""
-    F = f.field
-    if f.degree == 0:
-        return []
-    out: list[tuple[Polynomial, int]] = []
-    d = poly_gcd(f, f.derivative())
-    if d.degree == 0:
-        return [(f, 1)]
-    w = f // d
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, d)
-        fac = w // y
-        if fac.degree > 0:
-            out.append((fac, i))
-        w = y
-        d = d // y
-        i += 1
-    if d.degree > 0:
-        for g, e in _squarefree_decomposition(_pth_root(d)):
-            out.append((g, e * F.p))
-    return out
-
-
 def distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
     """f monic squarefree -> [(d, product of irreducible factors of degree d)].
 
@@ -670,54 +616,3 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         if distinct_degree(fp.poly(coeffs + [1]))[0][0] == m:
             return tuple(coeffs)
     raise InvariantError("no irreducible polynomial found; unreachable")
-
-
-def _equal_degree(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
-    """Cantor-Zassenhaus split of a monic squarefree f all of whose
-    irreducible factors have degree d."""
-    F = f.field
-    if f.degree == d:
-        return [f]
-    n = f.degree
-    one = Polynomial.one(F)
-    while True:
-        a = Polynomial(F, [rng.randrange(F.q) for _ in range(n)])
-        if a.degree < 1:
-            continue
-        g = poly_gcd(a, f)
-        if 0 < g.degree < n:
-            break
-        if F.p == 2:
-            # additive trace of a over F_2 inside F_{q^d} = F_{2^(m*d)}
-            b = a % f
-            c = a % f
-            for _ in range(F.m * d - 1):
-                c = (c * c) % f
-                b = (b + c) % f
-        else:
-            b = poly_pow_mod(a, (F.q ** d - 1) // 2, f) - one
-        g = poly_gcd(b, f)
-        if 0 < g.degree < n:
-            break
-    return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
-
-
-def poly_factor(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Full factorization into monic irreducibles with multiplicities.
-
-    The product of the factors (times the leading unit of f) reproduces f.
-    Output order is canonical: by degree, then by base-q coefficient encoding.
-    The equal-degree splitting draws from a Random seeded with FACTOR_SEED,
-    so the work is reproducible as well as the output.
-    """
-    if f.is_zero:
-        raise Precondition("cannot factor the zero polynomial")
-    rng = random.Random(FACTOR_SEED)
-    fm = f.monic()
-    out: list[tuple[Polynomial, int]] = []
-    for g, mult in _squarefree_decomposition(fm):
-        for d, h in distinct_degree(g):
-            for irr in _equal_degree(h, d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda t: t[0].sort_key())
-    return out

@@ -17,6 +17,16 @@ last generator rows, with one comparison against it per head codeword.
 
 The quadratic branch sampler has its list of all q^2 pairs (b, c) here.
 
+Full factorization into monic irreducibles with multiplicities is here:
+the library only splits by distinct degree (the Frobenius cycle types need
+no more).  poly_factor runs a squarefree decomposition (with p-th roots in
+characteristic p), the distinct-degree split and seeded Cantor-Zassenhaus
+equal-degree splitting, and sorts the factors by degree, then by base-q
+coefficient encoding.  It gives the cycle types of two_torsion_frobenius
+an independent check and the matrix oracles their characteristic-polynomial
+factors.  It calls gf.poly_gcd, gf.poly_pow_mod and gf.distinct_degree
+through the module, so schoolbook_kernels() routes it too.
+
 Polynomial product, division, modular power and evaluation over F_p have
 their per-coefficient schoolbook loops here, one FieldSpec.add/sub/mul call
 per coefficient pair; schoolbook_kernels() routes gf through them, so gcds,
@@ -45,6 +55,111 @@ from surfcodes.errors import BudgetExceeded, InvariantError, Precondition
 
 class TooLarge(RuntimeError):
     pass
+
+
+# -- full factorization over F_q -----------------------------------------------
+
+# Seed for the randomized equal-degree splitting step of poly_factor.  The
+# output order is canonical (sorted) so the seed only affects internal work,
+# but fixing it keeps the work itself reproducible.
+FACTOR_SEED = 1729
+
+
+def _pth_root(f: gf.Polynomial) -> gf.Polynomial:
+    """Inverse of the Frobenius on a polynomial whose exponents are all
+    multiples of p (i.e. f = g(x)^p for the returned g)."""
+    F = f.field
+    root_exp = F.p ** (F.m - 1)  # inverse Frobenius on coefficients
+    out = []
+    for i in range(0, len(f.coeffs), F.p):
+        out.append(F.pow(f.coeffs[i], root_exp) if f.coeffs[i] else 0)
+    return gf.Polynomial(F, out)
+
+
+def _squarefree_decomposition(f: gf.Polynomial) -> list[tuple[gf.Polynomial, int]]:
+    """f monic -> [(g_i, e_i)] with f = prod g_i^{e_i}, g_i squarefree monic
+    and pairwise coprime.  Characteristic-p aware (p-th power parts recurse
+    through the coefficient-wise p-th root)."""
+    F = f.field
+    if f.degree == 0:
+        return []
+    out: list[tuple[gf.Polynomial, int]] = []
+    d = gf.poly_gcd(f, f.derivative())
+    if d.degree == 0:
+        return [(f, 1)]
+    w = f // d
+    i = 1
+    while w.degree > 0:
+        y = gf.poly_gcd(w, d)
+        fac = w // y
+        if fac.degree > 0:
+            out.append((fac, i))
+        w = y
+        d = d // y
+        i += 1
+    if d.degree > 0:
+        for g, e in _squarefree_decomposition(_pth_root(d)):
+            out.append((g, e * F.p))
+    return out
+
+
+def _equal_degree(f: gf.Polynomial, d: int, rng: random.Random) -> list[gf.Polynomial]:
+    """Cantor-Zassenhaus split of a monic squarefree f all of whose
+    irreducible factors have degree d."""
+    F = f.field
+    if f.degree == d:
+        return [f]
+    n = f.degree
+    one = gf.Polynomial.one(F)
+    while True:
+        a = gf.Polynomial(F, [rng.randrange(F.q) for _ in range(n)])
+        if a.degree < 1:
+            continue
+        g = gf.poly_gcd(a, f)
+        if 0 < g.degree < n:
+            break
+        if F.p == 2:
+            # additive trace of a over F_2 inside F_{q^d} = F_{2^(m*d)}
+            b = a % f
+            c = a % f
+            for _ in range(F.m * d - 1):
+                c = (c * c) % f
+                b = (b + c) % f
+        else:
+            b = gf.poly_pow_mod(a, (F.q ** d - 1) // 2, f) - one
+        g = gf.poly_gcd(b, f)
+        if 0 < g.degree < n:
+            break
+    return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+
+
+def _sort_key(f: gf.Polynomial) -> tuple[int, int]:
+    """Degree, then the coefficient tuple read as a base-q integer."""
+    e = 0
+    for c in reversed(f.coeffs):
+        e = e * f.field.q + c
+    return f.degree, e
+
+
+def poly_factor(f: gf.Polynomial) -> list[tuple[gf.Polynomial, int]]:
+    """Full factorization into monic irreducibles with multiplicities.
+
+    The product of the factors (times the leading unit of f) reproduces f.
+    Output order is canonical: by degree, then by base-q coefficient encoding.
+    The equal-degree splitting draws from a Random seeded with FACTOR_SEED,
+    so the work is reproducible as well as the output.
+    """
+    if f.is_zero:
+        raise Precondition("cannot factor the zero polynomial")
+    rng = random.Random(FACTOR_SEED)
+    fm = f.monic()
+    out: list[tuple[gf.Polynomial, int]] = []
+    for g, mult in _squarefree_decomposition(fm):
+        for d, h in gf.distinct_degree(g):
+            for irr in _equal_degree(h, d, rng):
+                out.append((irr, mult))
+    out.sort(key=lambda t: _sort_key(t[0]))
+    return out
 
 
 # -- GF(2) matrices on bitmask rows -------------------------------------------
@@ -163,7 +278,7 @@ def cycle_type_matrix(cycles: Sequence[int]) -> SimpleNamespace:
 
 def _factored_charpoly(m) -> list[tuple[gf.Polynomial, int]]:
     cp = gf.Polynomial(gf.make_field(2, 1), berkowitz_charpoly(list(m.rows), m.dim))
-    return gf.poly_factor(cp)
+    return poly_factor(cp)
 
 
 def _block_counts(m, p: Sequence[int]) -> list[int]:

@@ -76,6 +76,7 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_trace_targets_resolve():
     # the benchmark tracer records a renamed or deleted target as absent and
     # its layer's figures go silently to zero; every target must resolve but
+    # gf.poly_factor, whose full factorization moved to the test oracles, and
     # f2.rank, whose GF(2) ranks left the library with the matrix path (the
     # tracer itself is to be replaced: ROADMAP item 1)
     import importlib
@@ -96,7 +97,7 @@ def test_trace_targets_resolve():
         if not callable(vars(owner).get(attr) if owner is not None else None):
             unresolved.append(name)
     assert len(spans.TARGETS) >= 17
-    assert unresolved == ["f2.rank"]
+    assert unresolved == ["gf.poly_factor", "f2.rank"]
 
 
 def test_module_map_matches_files():
@@ -110,3 +111,27 @@ def test_module_map_matches_files():
     namespace = {}
     exec("from surfcodes import *", namespace)
     assert [name for name in surfcodes.__all__ if name not in namespace] == []
+
+
+def test_unreferenced_definitions_are_paper_formulas():
+    # a top-level function or class that no library module names is run by
+    # callers outside the library only; those are the paper's formulas and
+    # checks, and a helper that only tests use belongs in tests/
+    trees = [_tree(path) for path in LIBRARY]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = sorted(f"{path.stem}.{node.name}"
+                    for path, tree in zip(LIBRARY, trees) if path.stem != "__init__"
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in used)
+    assert unused == [
+        "asymptotic.product_curve_point",
+        "bounds.hansen_curve_bound", "bounds.hansen_curve_bound_uniform",
+        "bounds.interpolating_bound", "bounds.seshadri_upper",
+        "codes.rational_locus_check",
+        "surfaces.noether_identity",
+        "towers.gs_check_chi_form", "towers.marked_invariants",
+        "towers.naive_point_count", "towers.r_t_bracket",
+    ]
