@@ -15,28 +15,43 @@ Subpackage map:
 * ``errors``     the three exception types, one per CLI exit code:
                  Precondition, BudgetExceeded, InvariantError
 * ``cli``        the ``surfcodes`` command-line tool
+
+Importing the package loads only ``errors``.  A submodule, or a name
+re-exported from one, is imported on first access (PEP 562), so each CLI
+verb loads just the modules it runs.
 """
 
-from . import asymptotic, bounds, codes, errors, gf, surfaces, towers
-from .bounds import BoundReport, lifted_bound, parameter_report
-from .codes import LinearCode, build_code, exact_min_distance, rational_points, section_basis
-from .gf import FieldSpec, Polynomial, make_field
-from .surfaces import (DivisorClass, SurfaceModel, curve_product, hirzebruch,
-                       intersect, projective_plane, quadric_p1xp1)
-from .towers import (HyperellipticCurve, TowerCertificate,
-                     golod_shafarevich_check, hyperelliptic_product_certificate)
+import importlib
+
+from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "asymptotic", "bounds", "cli", "codes", "errors", "gf", "surfaces", "towers",
-    "BoundReport", "lifted_bound", "parameter_report",
-    "LinearCode", "build_code", "exact_min_distance", "rational_points",
-    "section_basis",
-    "FieldSpec", "Polynomial", "make_field",
-    "DivisorClass", "SurfaceModel", "curve_product", "hirzebruch",
-    "intersect", "projective_plane", "quadric_p1xp1",
-    "HyperellipticCurve", "TowerCertificate", "golod_shafarevich_check",
-    "hyperelliptic_product_certificate",
-    "__version__",
-]
+_MODULES = ("asymptotic", "bounds", "cli", "codes", "gf", "surfaces", "towers")
+
+# re-exported name -> the submodule defining it
+_NAMES = {
+    **dict.fromkeys(("BoundReport", "lifted_bound", "parameter_report"), "bounds"),
+    **dict.fromkeys(("LinearCode", "build_code", "exact_min_distance",
+                     "rational_points", "section_basis"), "codes"),
+    **dict.fromkeys(("FieldSpec", "Polynomial", "make_field"), "gf"),
+    **dict.fromkeys(("DivisorClass", "SurfaceModel", "curve_product", "hirzebruch",
+                     "intersect", "projective_plane", "quadric_p1xp1"), "surfaces"),
+    **dict.fromkeys(("HyperellipticCurve", "TowerCertificate", "golod_shafarevich_check",
+                     "hyperelliptic_product_certificate"), "towers"),
+}
+
+__all__ = ["asymptotic", "bounds", "cli", "codes", "errors", "gf", "surfaces", "towers",
+           *_NAMES, "__version__"]
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _NAMES:
+        return getattr(importlib.import_module(f"{__name__}.{_NAMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,7 +18,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -32,7 +34,16 @@ RationalLike = Union[Fraction, int, str]
 MAX_DIAGRAM_SAMPLES = 250_000
 
 
-def rational_to_json(x: Fraction) -> str:
+def _check_printable(what: str, *ints: int) -> None:
+    """Refuse, as a Precondition, integers the interpreter would not print:
+    more digits than sys.get_int_max_str_digits() allows."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if limit and max(map(abs, ints)) >= 10 ** limit:
+        raise Precondition(f"{what} would print an integer of more than {limit} digits")
+
+
+def rational_to_json(x: Fraction, name: str) -> str:
+    _check_printable(name, x.numerator, x.denominator)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -52,8 +63,8 @@ class AsymptoticPoint:
             raise Precondition("kappa must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {"kappa": rational_to_json(self.kappa),
-                "chi": rational_to_json(self.chi)}
+        return {"kappa": rational_to_json(self.kappa, "kappa"),
+                "chi": rational_to_json(self.chi, "chi")}
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,8 @@ class CodePoint:
     r: Fraction
 
     def to_json_dict(self) -> dict:
-        return {"delta": rational_to_json(self.delta), "R": rational_to_json(self.r)}
+        return {"delta": rational_to_json(self.delta, "delta"),
+                "R": rational_to_json(self.r, "R")}
 
 
 def asym_point(kappa: RationalLike, chi: RationalLike) -> AsymptoticPoint:
@@ -163,20 +175,20 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
     point per sample.  Each sample is written as soon as it is computed.
     Every refusal comes before any file is opened: more than
     MAX_DIAGRAM_SAMPLES grid samples raise BudgetExceeded, and g outside
-    2..q or a CSV and SVG path naming the same file raise Precondition."""
+    2..q, a row integer too long to print or a CSV and SVG path naming the
+    same file raise Precondition."""
     if grid_n < 2:
         raise Precondition(f"grid_n must be >= 2, got {grid_n}")
     if grid_n * grid_n > MAX_DIAGRAM_SAMPLES:
         raise BudgetExceeded(f"{grid_n}^2 diagram samples exceed {MAX_DIAGRAM_SAMPLES}")
     poly = polygon_image(q, g)          # checks 2 <= g <= q before dividing by g
-    kmax = Fraction(2, g * (q + 1))
-    cmax = Fraction(1, g * (q + 1))
+    # the longest integers the rows print: chi = 1/(g(q+1)(grid_n-1)) at
+    # j = 1 and D1's chi = 1/(2(q+1)^2); every other part is smaller
+    _check_printable("the diagram", g * (q + 1) * (grid_n - 1), 2 * (q + 1) ** 2)
     if svg_path and os.path.realpath(svg_path) == os.path.realpath(path):
         raise Precondition(f"the CSV and the SVG would both be written to {path!r}")
-    samples = itertools.chain(
-        (AsymptoticPoint(kmax * i / (grid_n - 1), cmax * j / (grid_n - 1))
-         for i in range(grid_n) for j in range(grid_n)),
-        (poly[name] for name in ("A1", "B1", "C1", "D1")))
+    corners = (_corner_row(q, poly[name1], poly[name2])
+               for name1, name2 in (("A1", "A2"), ("B1", "B2"), ("C1", "C2"), ("D1", "D2")))
     with open(path, "w", encoding="utf-8", newline="") as fh, \
             (open(svg_path, "w", encoding="utf-8") if svg_path
              else contextlib.nullcontext()) as svg:
@@ -184,21 +196,65 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
         writer.writerow(DIAGRAM_HEADER)
         if svg:
             svg.write(_svg_head(q, poly))
-        for pt in samples:
-            member = domain_membership(q, pt)
-            cp = phi_g(q, g, pt)
-            checks = code_bound_checks(q, cp)
-            in_domain = member["kappa_lb_ok"] and member["chi_ub_ok"]
-            writer.writerow((str(pt.kappa), str(pt.chi), str(cp.delta), str(cp.r),
-                             str(in_domain).lower(),
-                             str(checks["singleton_ok"]).lower(),
-                             str(checks["plotkin_ok"]).lower()))
+        for row, delta, r in itertools.chain(_grid_rows(q, g, grid_n), corners):
+            writer.writerow(row)
             if svg:
-                x, y = _svg_xy(cp)
-                color = "black" if in_domain else "lightgray"
+                x, y = _svg_xy(delta, r)
+                color = "black" if row[4] == "true" else "lightgray"
                 svg.write(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>\n')
         if svg:
             svg.write("</svg>\n")
+
+
+_FLAG = ("false", "true")
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    d = math.gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
+
+
+def _grid_rows(q: int, g: int, grid_n: int):
+    """The grid samples as (CSV row, float delta, float R), on integer
+    numerators over fixed denominators.  With n = grid_n - 1 and
+    D = g(q+1)n the sample (i, j) is kappa = 2i/D and chi = j/D, so
+    phi_g gives delta = (n - 2i)/n and R = (g(g-1)i + j)/D, and each check
+    is an integer comparison: kappa >= 1/(q+1)^2 iff 2i(q+1) >= gn,
+    chi <= kappa/2 iff j <= i, R + delta <= 1 iff D R <= 2i g(q+1), and
+    R <= 1 - q delta/(q-1) iff (q-1) D R <= (q-1) D - q g(q+1) n delta.
+    The floats divide the integer numerators, which rounds as float() of
+    the Fraction does."""
+    n = grid_n - 1
+    gq = g * (q + 1)
+    den = gq * n
+    chis = [_ratio(j, den) for j in range(grid_n)]
+    for i in range(grid_n):
+        kappa = _ratio(2 * i, den)
+        delta_num = n - 2 * i
+        delta = _ratio(delta_num, n)
+        delta_f = delta_num / n
+        kappa_lb_ok = 2 * i * (q + 1) >= g * n
+        singleton_max = 2 * i * gq
+        plotkin_max = (q - 1) * den - q * gq * delta_num
+        r_num = g * (g - 1) * i
+        for j, chi in enumerate(chis):
+            yield ((kappa, chi, delta, _ratio(r_num, den),
+                    _FLAG[kappa_lb_ok and j <= i], _FLAG[r_num <= singleton_max],
+                    _FLAG[(q - 1) * r_num <= plotkin_max]),
+                   delta_f, r_num / den)
+            r_num += 1
+
+
+def _corner_row(q: int, pt: AsymptoticPoint, cp: CodePoint):
+    """A reference-polygon corner and its image as (CSV row, float delta,
+    float R), through the exact checks."""
+    member = domain_membership(q, pt)
+    checks = code_bound_checks(q, cp)
+    return ((str(pt.kappa), str(pt.chi), str(cp.delta), str(cp.r),
+             _FLAG[member["kappa_lb_ok"] and member["chi_ub_ok"]],
+             _FLAG[checks["singleton_ok"]], _FLAG[checks["plotkin_ok"]]),
+            float(cp.delta), float(cp.r))
 
 
 # the SVG draws the (delta, R) unit square in a 440 px square with 40 px pad
@@ -206,20 +262,20 @@ _SVG_SIZE = 440
 _SVG_PAD = 40
 
 
-def _svg_xy(cp: CodePoint) -> tuple[float, float]:
+def _svg_xy(delta: float, r: float) -> tuple[float, float]:
     span = _SVG_SIZE - 2 * _SVG_PAD
-    return (_SVG_PAD + float(cp.delta) * span,
-            _SVG_SIZE - _SVG_PAD - float(cp.r) * span)
+    return _SVG_PAD + delta * span, _SVG_SIZE - _SVG_PAD - r * span
 
 
 def _svg_head(q: int, poly: dict) -> str:
     # the frame, the Singleton (dashed) and Plotkin lines, and the image
     # polygon A2 B2 C2 D2, one element per line
     size, pad = _SVG_SIZE, _SVG_PAD
-    sx, sy = _svg_xy(CodePoint(Fraction(0), Fraction(1)))
-    ex, ey = _svg_xy(CodePoint(Fraction(1), Fraction(0)))
-    px, py = _svg_xy(CodePoint(Fraction(q - 1, q), Fraction(0)))
-    corners = " ".join("{},{}".format(*_svg_xy(poly[n])) for n in ("A2", "B2", "C2", "D2"))
+    sx, sy = _svg_xy(0.0, 1.0)
+    ex, ey = _svg_xy(1.0, 0.0)
+    px, py = _svg_xy((q - 1) / q, 0.0)
+    corners = " ".join("{},{}".format(*_svg_xy(float(poly[n].delta), float(poly[n].r)))
+                       for n in ("A2", "B2", "C2", "D2"))
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
             f'height="{size}" viewBox="0 0 {size} {size}">\n'
             f'<rect x="{pad}" y="{pad}" width="{size - 2 * pad}" '

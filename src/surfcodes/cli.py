@@ -9,6 +9,9 @@ kind "internal", exit 1, traceback on stderr.  Text the user gives (integer
 lists, ranges, rationals, the --point pair) is parsed here, so its errors
 are Preconditions too.  On failure, usage errors included, a structured
 {"error": {...}} JSON is printed and the process exits nonzero.
+
+Each command imports the library modules it runs when it runs, so a verb
+loads only those (``asym map`` never loads the field arithmetic).
 """
 
 from __future__ import annotations
@@ -16,15 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import asymptotic as asym
-from . import bounds as bd
-from . import codes as cd
-from . import surfaces as sf
-from . import towers as tw
 from .errors import BudgetExceeded, InvariantError, Precondition
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import surfaces as sf
 
 DEFAULT_SEED = 1
 
@@ -67,6 +69,7 @@ def _parse_rational(text: str) -> Fraction:
     if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp)
                                       + sum(map(str.isdecimal, mantissa)) > limit):
         raise Precondition(f"{text!r}: digits plus exponent exceed {limit}", kind="parse")
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -74,6 +77,7 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _surface_from_args(args) -> sf.SurfaceModel:
+    from . import surfaces as sf
     kind = args.surface.lower()
     if kind in ("p2", "projectiveplane"):
         return sf.projective_plane()
@@ -96,6 +100,12 @@ def _grid_from_args(args, q: int):
     return (a, b)
 
 
+def _distance_budget(args) -> int:
+    """--budget, or the library default, read only by the verbs that use it."""
+    from .codes import DEFAULT_DISTANCE_BUDGET
+    return DEFAULT_DISTANCE_BUDGET if args.budget is None else args.budget
+
+
 def _emit(args, payload, text: Optional[str] = None) -> int:
     body = text if text is not None else json.dumps(payload, indent=2) + "\n"
     if getattr(args, "out", None):
@@ -109,6 +119,7 @@ def _emit(args, payload, text: Optional[str] = None) -> int:
 # -- code ---------------------------------------------------------------------
 
 def cmd_code_build(args) -> int:
+    from . import codes as cd
     surface = _surface_from_args(args)
     divisor = surface.divisor(*_parse_ints(args.divisor))
     grid = _grid_from_args(args, args.q)
@@ -119,8 +130,9 @@ def cmd_code_build(args) -> int:
 
 
 def cmd_code_distance(args) -> int:
+    from . import codes as cd
     code = cd.load_code(args.infile)
-    d = cd.exact_min_distance(code, args.budget)
+    d = cd.exact_min_distance(code, _distance_budget(args))
     payload = code.to_json_dict()
     payload["d"] = d
     return _emit(args, payload)
@@ -129,13 +141,14 @@ def cmd_code_distance(args) -> int:
 # -- bounds -------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bd
     surface = _surface_from_args(args)
     divisor = surface.divisor(*_parse_ints(args.divisor))
     grid = _grid_from_args(args, args.q)
     report = bd.parameter_report(
         surface, divisor, args.q,
         gamma=args.gamma, tag=args.points, grid=grid,
-        exact_budget=args.budget if args.exact else None,
+        exact_budget=_distance_budget(args) if args.exact else None,
         epsilon=_parse_rational(args.epsilon) if args.epsilon else None,
         xi=args.xi)
     if args.lift != 1:
@@ -146,12 +159,14 @@ def cmd_bounds(args) -> int:
 # -- tower --------------------------------------------------------------------
 
 def cmd_tower_check(args) -> int:
+    from . import towers as tw
     cert = tw.hyperelliptic_product_certificate(
         args.q, args.g1, args.g2, args.rho, args.seed)
     return _emit(args, cert.to_json_dict())
 
 
 def cmd_tower_search(args) -> int:
+    from . import towers as tw
     certs = tw.search_parameters(args.q, _parse_range(args.g1),
                                  _parse_range(args.g2), _parse_range(args.rho),
                                  args.seed)
@@ -161,6 +176,7 @@ def cmd_tower_search(args) -> int:
 # -- asym ---------------------------------------------------------------------
 
 def cmd_asym_map(args) -> int:
+    from . import asymptotic as asym
     try:
         kappa_s, chi_s = args.point.split(",")
     except ValueError as exc:                     # not exactly one comma
@@ -175,11 +191,13 @@ def cmd_asym_map(args) -> int:
 
 
 def cmd_asym_polygon(args) -> int:
+    from . import asymptotic as asym
     poly = asym.polygon_image(args.q, args.g)
     return _emit(args, {name: pt.to_json_dict() for name, pt in poly.items()})
 
 
 def cmd_asym_diagram(args) -> int:
+    from . import asymptotic as asym
     asym.emit_diagram(args.q, args.g, args.grid, args.out, args.svg)
     sys.stdout.write(json.dumps({"written": args.out, "svg": args.svg}) + "\n")
     return EXIT_OK
@@ -218,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.set_defaults(func=cmd_code_build)
     cdist = code_sub.add_parser("distance")
     cdist.add_argument("--in", dest="infile", required=True)
-    cdist.add_argument("--budget", type=int, default=cd.DEFAULT_DISTANCE_BUDGET)
+    cdist.add_argument("--budget", type=int, default=None)
     cdist.add_argument("--out", default=None)
     cdist.set_defaults(func=cmd_code_distance)
 
@@ -228,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("universal", "universal-affine"))
     bounds.add_argument("--exact", action="store_true",
                         help="attach brute-force (k, d) when within budget")
-    bounds.add_argument("--budget", type=int, default=cd.DEFAULT_DISTANCE_BUDGET)
+    bounds.add_argument("--budget", type=int, default=None)
     bounds.add_argument("--lift", type=int, default=1,
                         help="lift the report along a totally split cover of "
                              "this degree")

@@ -82,6 +82,18 @@ def naive_point_count(curve: HyperellipticCurve) -> int:
     return total
 
 
+def _shifted(flags: bytes, t: int, p: int) -> bytes:
+    """The flags g with g[c] = flags[c - t], for c and t element indices of
+    F_q (base-p digits, least significant first, subtracted digit by digit):
+    a rotation of each digit, by slicing."""
+    w = len(flags) // p                 # the weight of the top digit
+    top, low = divmod(t, w)
+    if w == 1:
+        return flags[p - top:] + flags[:p - top]
+    blocks = [_shifted(flags[k * w:(k + 1) * w], low, p) for k in range(p)]
+    return b"".join(blocks[(k - top) % p] for k in range(p))
+
+
 def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomial:
     """Monic product of `count` distinct linear ("linear") or irreducible
     quadratic ("quadratic") factors over odd F_q, chosen by sampling from a
@@ -103,18 +115,20 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
         if count > available:
             raise Precondition(
                 f"only {available} monic irreducible quadratics exist, need {count}")
-        # t^2 + b t + c is irreducible over odd F_q iff b^2 - 4c is a
-        # nonsquare.  As c runs over F_q so does b^2 - 4c, so every b has
-        # exactly (q - 1)/2 such c: index i names b = i // half and the
-        # (i mod half)-th such c in element order.
-        four = field.from_int(4)
-        squares = {field.mul(x, x) for x in field.elements()}
+        # t^2 + b t + c = (t + b/2)^2 + c - b^2/4 is irreducible over odd F_q
+        # iff -(c - b^2/4) is a nonsquare, so the c that suit b are those
+        # that suit 0, shifted by b^2/4: each b has (q - 1)/2 of them.  Index
+        # i names b = i // half and the (i mod half)-th such c in element order.
+        minus_one = field.neg(1)
+        suits_0 = bytearray([1]) * q
+        for y in field.elements():
+            suits_0[field.mul(minus_one, field.mul(y, y))] = 0
+        quarter = field.inv(field.from_int(4))
         poly = gf.Polynomial.one(field)
         picks = sorted(rng.sample(range(available), count))
         for b, group in itertools.groupby(picks, key=lambda i: i // half):
-            bb = field.mul(b, b)
-            cs = [c for c in field.elements()
-                  if field.sub(bb, field.mul(four, c)) not in squares]
+            suits_b = _shifted(suits_0, field.mul(quarter, field.mul(b, b)), field.p)
+            cs = list(itertools.compress(field.elements(), suits_b))
             for i in group:
                 poly = poly * field.poly((cs[i % half], b, 1))
     else:

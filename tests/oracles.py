@@ -34,11 +34,18 @@ distinct-degree splits and factorizations can be recomputed on them.
 
 The ample class for the Riemann-Roch lower bound has its earlier scan here:
 the whole box -10..10 in each coordinate on a rank-2 lattice.
+
+The asymptotic diagram has its per-sample Fraction loop here: each lattice
+point an AsymptoticPoint, pushed through domain_membership, phi_g and
+code_bound_checks and printed by str and float of the Fractions.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import csv
+import itertools
+from contextlib import contextmanager, nullcontext
+from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Sequence
@@ -47,6 +54,7 @@ import random
 
 import numpy as np
 
+from surfcodes import asymptotic as am
 from surfcodes import codes as cd
 from surfcodes import gf
 from surfcodes import surfaces as sf
@@ -704,3 +712,39 @@ def box_ample_h(surface: sf.SurfaceModel, g: sf.DivisorClass):
     -10..10 in each coordinate otherwise; None if the box has none."""
     return next((h for h, kh in _box_ample_classes(surface)
                  if sf.intersect(g, h) > kh), None)
+
+
+# -- the asymptotic diagram on Fractions ----------------------------------------
+
+def fraction_diagram(q: int, g: int, grid_n: int, path: str, svg_path=None) -> None:
+    """The CSV (and SVG) of asymptotic.emit_diagram, one Fraction sample at a
+    time: kappa = (2/(g(q+1))) i/(grid_n-1) and chi = (1/(g(q+1))) j/(grid_n-1),
+    then the four polygon corners, each through the library's exact maps."""
+    poly = am.polygon_image(q, g)
+    kmax = Fraction(2, g * (q + 1))
+    cmax = Fraction(1, g * (q + 1))
+    samples = itertools.chain(
+        (am.AsymptoticPoint(kmax * i / (grid_n - 1), cmax * j / (grid_n - 1))
+         for i in range(grid_n) for j in range(grid_n)),
+        (poly[name] for name in ("A1", "B1", "C1", "D1")))
+    with open(path, "w", encoding="utf-8", newline="") as fh, \
+            (open(svg_path, "w", encoding="utf-8") if svg_path else nullcontext()) as svg:
+        writer = csv.writer(fh)
+        writer.writerow(am.DIAGRAM_HEADER)
+        if svg:
+            svg.write(am._svg_head(q, poly))
+        for pt in samples:
+            member = am.domain_membership(q, pt)
+            cp = am.phi_g(q, g, pt)
+            checks = am.code_bound_checks(q, cp)
+            in_domain = member["kappa_lb_ok"] and member["chi_ub_ok"]
+            writer.writerow((str(pt.kappa), str(pt.chi), str(cp.delta), str(cp.r),
+                             str(in_domain).lower(),
+                             str(checks["singleton_ok"]).lower(),
+                             str(checks["plotkin_ok"]).lower()))
+            if svg:
+                x, y = am._svg_xy(float(cp.delta), float(cp.r))
+                color = "black" if in_domain else "lightgray"
+                svg.write(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>\n')
+        if svg:
+            svg.write("</svg>\n")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from surfcodes import asymptotic as am
 from surfcodes.asymptotic import (AsymptoticPoint, CodePoint, asym_point,
                                   code_bound_checks, domain_membership,
@@ -246,6 +247,24 @@ class TestDiagram:
         emit_diagram(q, g, n, str(tmp_path / "b.csv"), str(tmp_path / "b.svg"))
         assert (sha256(tmp_path / "a.csv"), sha256(tmp_path / "b.csv"),
                 sha256(tmp_path / "b.svg")) == (want_csv, want_csv, want_svg)
+
+    @pytest.mark.parametrize("q,g,n", [
+        (5, 2, 2),                  # two samples a side
+        (7, 7, 23),                 # g = q
+        (16, 5, 31),                # an even q
+        (1_000_000_007, 3, 12),     # a prime q past 10^9
+        (3, 2, 300),                # 90,000 samples
+    ])
+    def test_matches_fraction_oracle(self, tmp_path, q, g, n):
+        # the integer lattice against one Fraction sample at a time, byte
+        # for byte, with and without the SVG
+        emit_diagram(q, g, n, str(tmp_path / "a.csv"), str(tmp_path / "a.svg"))
+        oracles.fraction_diagram(q, g, n, str(tmp_path / "b.csv"), str(tmp_path / "b.svg"))
+        emit_diagram(q, g, n, str(tmp_path / "c.csv"))
+        csv_bytes = (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == csv_bytes
+        assert (tmp_path / "c.csv").read_bytes() == csv_bytes
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
     def test_memory_flat_in_grid(self, tmp_path):
         # each sample is written as soon as it is computed: 6,404 samples

@@ -401,6 +401,16 @@ ERROR_TABLE = [
     ("towers_rho_overflow", ("tower", "search", "--q", "67", "--g1", "2", "--g2", "2",
                              "--rho", f"1..{10 ** 20}"),
      3, "budget", f"{10 ** 20} candidates exceed 1000000"),
+    # added later: each of these ended as kind "internal", exit 1 (a result
+    # past the interpreter's 4300-digit limit for printing an int)
+    ("asym_map_long_result", ("asym", "map", "--q", "2", "--g", "2",
+                              "--point", "1e4200,1e-4200"),
+     2, "precondition", "R would print an integer of more than 4300 digits"),
+    ("asym_diagram_long_q", ("asym", "diagram", "--q", str(10 ** 2200 + 1), "--g", "2",
+                             "--grid", "2", "--out", "z.csv"),
+     2, "precondition", "the diagram would print an integer of more than 4300 digits"),
+    ("asym_polygon_long_q", ("asym", "polygon", "--q", str(10 ** 2200 + 1), "--g", "2"),
+     2, "precondition", "kappa would print an integer of more than 4300 digits"),
 ]
 
 
@@ -412,6 +422,27 @@ def test_error_table(capsys, tmp_path, monkeypatch, argv, code, kind, message):
         (tmp_path / name).write_bytes(body)
     assert run(capsys, *argv) == (
         code, json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # kappa = 1/(5 10^4299): its 4300-digit denominator prints, and so do
+    # delta and R once reduced
+    (("asym", "map", "--q", "2", "--g", "2", "--point", f"1/{5 * 10 ** 4299},0",
+      "--out", "m.json"), 0),
+    (("asym", "map", "--q", "2", "--g", "2", "--point", "1e4200,1e-4200",
+      "--out", "m.json"), 2),
+    # D1's chi = 1/(2(q+1)^2) has 4300 digits at q + 1 = 3 10^2149, 4301 at 10^2150
+    (("asym", "diagram", "--q", str(3 * 10 ** 2149 - 1), "--g", "2", "--grid", "2",
+      "--out", "d.csv", "--svg", "d.svg"), 0),
+    (("asym", "diagram", "--q", str(10 ** 2150 - 1), "--g", "2", "--grid", "2",
+      "--out", "d.csv", "--svg", "d.svg"), 2),
+], ids=["map_at_limit", "map_past_limit", "diagram_at_limit", "diagram_past_limit"])
+def test_digit_limit_decided_before_files(capsys, tmp_path, monkeypatch, argv, code):
+    # the refusal is exact (what prints still prints) and comes before any
+    # file is opened
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[0] == code
+    assert any(tmp_path.iterdir()) == (code == 0)
 
 
 class TestBoundsCommand:

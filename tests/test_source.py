@@ -1,11 +1,14 @@
 import ast
 import builtins
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import surfcodes
 
@@ -61,16 +64,76 @@ def test_no_builtin_raise_in_library():
     assert offenders == []
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only the distance kernel and the operation tables need numpy; every
-    # other verb starts without paying for its import
+# prints, after the statement given as argv[1] has run, the surfcodes
+# submodules loaded, whether numpy is, and the exit code of
+# cli.main(argv[2:]) when arguments follow (its own output is swallowed)
+_LOADED = """
+import contextlib, io, json, sys
+exec(sys.argv[1])
+code = None
+if sys.argv[2:]:
+    from surfcodes import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "loaded": sorted(m[len("surfcodes."):] for m in sys.modules
+                                   if m.startswith("surfcodes."))}))
+"""
+
+
+def _loaded(statement, *argv, cwd=None):
     src = str(Path(surfcodes.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, surfcodes.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _LOADED, statement, *argv], env=env,
+                         cwd=cwd, capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(out.stdout)
+
+
+def test_package_import_loads_only_errors():
+    # the package names its submodules and their exports lazily (PEP 562):
+    # importing it, listing its names and asking for a missing one load
+    # nothing more
+    statement = ("import surfcodes\n"
+                 "assert set(surfcodes.__all__) <= set(dir(surfcodes))\n"
+                 "assert not hasattr(surfcodes, 'f2')")
+    assert _loaded(statement) == {"code": None, "numpy": False, "loaded": ["errors"]}
+
+
+def test_lazy_names_resolve_to_their_modules():
+    assert surfcodes.build_code is surfcodes.codes.build_code
+    assert surfcodes.Polynomial is surfcodes.gf.Polynomial
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the distance kernel and the operation tables need numpy; every
+    # other verb starts without paying for its import, and the CLI module
+    # loads no library module before a verb runs
+    assert _loaded("import surfcodes.cli") == {"code": None, "numpy": False,
+                                               "loaded": ["cli", "errors"]}
+
+
+_TOWER = ("--q", "67", "--g1", "30", "--g2", "30", "--rho", "1")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("asym", "map", "--q", "2", "--g", "2", "--point", "1/9,0"), ["asymptotic"]),
+    (("asym", "polygon", "--q", "2", "--g", "2"), ["asymptotic"]),
+    (("asym", "diagram", "--q", "2", "--g", "2", "--grid", "3", "--out", "d.csv"),
+     ["asymptotic"]),
+    (("tower", "check", *_TOWER), ["gf", "towers"]),
+    (("tower", "search", *_TOWER), ["gf", "towers"]),
+    (("code", "build", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1"),
+     ["codes", "gf", "surfaces"]),
+    (("bounds", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1"),
+     ["bounds", "codes", "gf", "surfaces"]),
+], ids=["asym_map", "asym_polygon", "asym_diagram", "tower_check", "tower_search",
+        "code_build", "bounds"])
+def test_verb_loads_only_its_modules(tmp_path, argv, loaded):
+    # each verb imports the library modules it runs when it runs: the asym
+    # verbs no field arithmetic, codes or towers; the tower verbs no codes or
+    # bounds; code build no towers, asymptotic or numpy
+    assert _loaded("pass", *argv, cwd=tmp_path) == {
+        "code": 0, "numpy": False, "loaded": sorted(["cli", "errors", *loaded])}
 
 
 def test_trace_targets_resolve():

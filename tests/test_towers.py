@@ -111,6 +111,37 @@ class TestSampling:
         assert sample_branch_poly(67, 31, "quadratic", 9) == \
             sample_branch_poly(67, 31, "quadratic", 9)
 
+    def test_shifted_flags_subtract_in_the_field(self):
+        # the sampler shifts the flags of b = 0 by slicing each base-p digit
+        rng = random.Random(5)
+        for q in (3, 7, 9, 25, 27, 49, 81, 125):
+            field = gf.field_from_order(q)
+            flags = bytes(rng.randrange(2) for _ in range(q))
+            for t in field.elements():
+                assert tw._shifted(flags, t, field.p) == \
+                    bytes(flags[field.sub(c, t)] for c in field.elements())
+
+    # coefficients (or the sha256 of their repr) the sampler gave when it
+    # listed every c with a field.sub and a field.mul call for each b picked
+    PINNED_QUADRATIC = {
+        (67, 4, 1): (44, 36, 42, 22, 43, 39, 24, 1, 1),
+        (67, 4, 2): (63, 61, 41, 42, 18, 19, 60, 5, 1),
+        (67, 4, 3): (24, 30, 4, 35, 48, 0, 44, 14, 1),
+        (65521, 4, 1): (613, 16241, 63612, 44683, 44004, 40628, 13450, 23217, 1),
+        (65521, 4, 2): (6149, 59465, 418, 58251, 31810, 4435, 24066, 40472, 1),
+        (65521, 4, 3): (42299, 64553, 54806, 39880, 6547, 53591, 46865, 33150, 1),
+        (67, 31, 9): "fcd27a59a3867af622b23119e927452b146382bf40969d530062ddc02d75c046",
+        (65521, 40, 5): "5469de0cfafb57a48eefe32aea6624d7d7341b1cfa62cd1c164797601c4e393e",
+    }
+
+    @pytest.mark.parametrize("q,count,seed", sorted(PINNED_QUADRATIC))
+    def test_quadratic_pinned(self, q, count, seed):
+        coeffs = sample_branch_poly(q, count, "quadratic", seed).coeffs
+        want = self.PINNED_QUADRATIC[q, count, seed]
+        if isinstance(want, str):
+            coeffs = hashlib.sha256(repr(coeffs).encode()).hexdigest()
+        assert coeffs == want
+
     def test_quadratic_matches_listed_oracle(self):
         # the indexed sampler picks exactly what the list of all q^2 pairs
         # (b, c) gives, prime and prime-power q alike
