@@ -3,12 +3,13 @@
 A code is built by evaluating a monomial basis of the sections of a divisor
 class at a canonical list of rational points; the exact minimum distance is
 then available by exhaustive search over projective message representatives.
-A batch of head codewords is compared with a table of all combinations of
-the last generator rows in one numpy comparison of at most MAX_KERNEL_CELLS
-cells (or the q multiples of one row, if more), summed in the narrowest
-dtype that holds n; a code whose one-row table (q * n entries) exceeds
-MAX_ROW_TABLE_CELLS is refused as over budget, and so is one whose generator
-would hold more than MAX_CODE_CELLS section values, before its basis is listed.
+The messages inside a table L of all combinations of the last generator rows
+are read off L's own columns; the heads of all others (their parts above L)
+come from one capped table and fill shared batches, each compared with L in
+one numpy comparison of at most MAX_KERNEL_CELLS cells (or one head, if
+more).  A code whose one-row table (q * n entries) exceeds MAX_ROW_TABLE_CELLS
+is refused as over budget, and so is one whose generator would hold more than
+MAX_CODE_CELLS section values, before its basis is listed.
 
 Canonical point representatives
 -------------------------------
@@ -27,9 +28,11 @@ a pair (t, x) is evaluated as the point (t, 1, x, 1) like any other point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,6 +69,10 @@ def _projective_points(elements, dim: int):
 
 def _check_point_budget(n: int) -> None:
     if n > MAX_POINTS:
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+        if limit and n >= 10 ** limit:    # too long to print: name its digits
+            d = int(math.log10(n)) + 1            # off by at most one: correct it
+            n = f"a {d + (n >= 10 ** d) - (n < 10 ** (d - 1))}-digit number of"
         raise BudgetExceeded(f"{n} evaluation points exceed {MAX_POINTS}")
 
 
@@ -183,15 +190,14 @@ def section_basis(surface: sf.SurfaceModel, g: sf.DivisorClass) -> MonomialBasis
     return MonomialBasis(tuple(exps))
 
 
-def _eval_monomial(field: gf.FieldSpec, exp: tuple[int, ...],
-                   point: tuple[int, ...]) -> int:
-    acc = 1
-    for e, c in zip(exp, point):
-        if e:
-            if c == 0:
-                return 0
-            acc = field.mul(acc, field.pow(c, e))
-    return acc
+def _evaluation_rows(field: gf.FieldSpec, exponents, points) -> list[list[int]]:
+    """The value of each monomial at each point: a row is the product of the
+    (coordinate, exponent) columns of powers, each computed once."""
+    powers = {(j, e): [field.pow(p[j], e) for p in points]
+              for j, e in {(j, e) for exp in exponents for j, e in enumerate(exp) if e}}
+    return [functools.reduce(lambda a, b: list(map(field.mul, a, b)),
+                             [powers[j, e] for j, e in enumerate(exp) if e]
+                             or [[1] * len(points)]) for exp in exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +248,8 @@ def _require(d, key: str, kind: type):
 def code_from_json_dict(d: dict) -> LinearCode:
     """Parse a code JSON document, validating it on the way: required keys
     and their types, the generator length, every entry in [0, q), and the
-    generator rows having rank exactly k.  Violations raise Precondition."""
+    generator rows having rank exactly k.  Violations raise Precondition;
+    n > MAX_POINTS or n * k > MAX_CODE_CELLS raise BudgetExceeded first."""
     fd = _require(d, "field", dict)
     _require(fd, "p", int)
     _require(fd, "m", int)
@@ -251,6 +258,10 @@ def code_from_json_dict(d: dict) -> LinearCode:
     n, k = _require(d, "n", int), _require(d, "k", int)
     if n < 1 or k < 0:
         raise Precondition(f"code JSON: need n >= 1 and k >= 0, got n = {n}, k = {k}")
+    _check_point_budget(n)
+    if n * k > MAX_CODE_CELLS:
+        raise BudgetExceeded(f"{k} rows at {n} points exceed {MAX_CODE_CELLS} "
+                             f"generator entries")
     flat = _require(d, "generator", list)
     if len(flat) != n * k:
         raise Precondition(f"generator has {len(flat)} entries, expected {n * k}")
@@ -351,8 +362,7 @@ def build_code(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int,
     # Hirzebruch, s1 = t1 = 1 on the quadric.
     points = ([(t, 1, x, 1) for t, x in pts.points] if pts.tag == "grid"
               else pts.points)
-    rows = [[_eval_monomial(field, exp, p) for p in points]
-            for exp in basis.exponents]
+    rows = _evaluation_rows(field, basis.exponents, points)
     rank, keep = _row_reduce(field, rows)
     generator = tuple(tuple(rows[i]) for i in keep)
     return LinearCode(field=field, n=len(pts.points), k=rank, generator=generator,
@@ -370,16 +380,18 @@ def enumeration_size(q: int, k: int) -> int:
 
 
 def _span_table(add_t, mul_t, rows):
-    """All q^s combinations of the s given rows (a numpy array) as an n x q^s
-    table, one contiguous row per position, built in s broadcast steps.
+    """All q^s combinations of the s >= 0 given rows (a numpy array) as an
+    n x q^s table, one contiguous row per position, built in s broadcast steps.
 
     Column sum_u c_u q^u is sum_u c_u rows[s-1-u], so the first q^t columns
     are the span of the last t rows."""
+    import numpy as np
     q, n = add_t.shape[0], rows.shape[1]
-    table = mul_t[:, rows[-1]].T.copy()                   # c * last row
-    for row in rows[-2::-1]:
-        scaled = mul_t[:, row].T.astype(int) * q          # c * row, c in F_q
-        table = add_t.ravel()[scaled[:, :, None] + table[:, None, :]].reshape(n, -1)
+    table = (mul_t[:, rows[-1]].T.copy() if len(rows)     # c * last row
+             else np.zeros((n, 1), dtype=add_t.dtype))
+    for row in rows[-2::-1]:                    # flat index (c * row) * q + entry
+        scaled = mul_t[:, row].T.astype(np.min_scalar_type(q * q - 1)) * q
+        table = np.take(add_t, scaled[:, :, None] + table[:, None, :]).reshape(n, -1)
     return table
 
 
@@ -404,14 +416,16 @@ def exact_min_distance(code: LinearCode,
     coordinate fixed to 1) since scaling a message scales the codeword and
     preserves its weight.  Table L (n x q^s) holds all combinations of the
     last s generator rows, s as large as q^s * n <= MAX_KERNEL_CELLS / 4
-    allows (at least 1).  For leading index i, the heads h (row i plus a
-    combination of the rows between i and L) come in batches whose one
-    comparison with the first q^min(s, k-1-i) columns x of L takes at most
-    MAX_KERNEL_CELLS cells (or one head): wt(h - x) is n minus the positions
-    where x == h, summed in the narrowest dtype that holds n.  The search
-    stops after the first batch with a codeword of weight <= 1.
-    check_table_budget refuses a code whose tables would be over budget
-    before any table is built.
+    allows (at least 1); the messages inside L are its nonzero columns,
+    weighed in one count.  Any other message has a leading index r < k - s
+    and a head h: row r, plus a combination of any free rows above the table
+    of the last t free rows (q^t * n <= MAX_KERNEL_CELLS), plus a column of
+    that table.  The heads of consecutive leading indices fill shared
+    batches whose one comparison with L takes at most MAX_KERNEL_CELLS cells
+    (or one head): wt(h - x) is n minus the positions where x == h, summed
+    in the narrowest dtype that holds n.  The search stops at the first
+    codeword of weight <= 1.  check_table_budget refuses a code whose tables
+    would be over budget before any table is built.
     """
     if code.k == 0:
         raise Precondition("zero code has no minimum distance")
@@ -427,24 +441,35 @@ def exact_min_distance(code: LinearCode,
     s = 1
     while s + 1 < k and q ** (s + 1) * n <= MAX_KERNEL_CELLS >> 2:
         s += 1
+    t = 0
+    while t + 1 < k - s and q ** (t + 1) * n <= MAX_KERNEL_CELLS:
+        t += 1
     low = _span_table(add_t, mul_t, gen[k - s:])
-    best = n + 1
-    for i in range(k):
-        table = low[:, :q ** min(s, k - 1 - i)]
-        free = gen[i + 1:k - s]                           # rows above L
-        heads_total = q ** len(free)
-        batch = max(1, MAX_KERNEL_CELLS // table.size)
-        for start in range(0, heads_total, batch):
-            idx = np.arange(start, min(start + batch, heads_total))
-            heads = np.broadcast_to(gen[i], (len(idx), n))
-            for row in free:
-                idx, digit = np.divmod(idx, q)
-                heads = add_t[heads, mul_t[digit[:, None], row]]
-            agree = (heads[:, :, None] == table).view(np.uint8).sum(
-                axis=1, dtype=np.min_scalar_type(n))
-            best = min(best, n - int(agree.max()))
-            if best <= 1:
-                return best
+    count = np.min_scalar_type(n)
+    # projective messages inside L: first L coefficient 0 or 1
+    zeros = (low[:, 1:2 * q ** (s - 1)] == 0).view(np.uint8).sum(axis=0, dtype=count)
+    best = n - int(zeros.max())
+    if best <= 1:
+        return best
+    span = _span_table(add_t, mul_t, gen[k - s - t:k - s]).T   # one tail per row
+    buf, filled = np.empty((max(1, MAX_KERNEL_CELLS // low.size), n), gen.dtype), 0
+    for r in range(k - s):
+        for digits in itertools.product(range(q), repeat=max(0, k - s - t - 1 - r)):
+            vec = gen[r]
+            for digit, row in zip(digits, gen[r + 1:k - s - t]):  # rows above the table
+                vec = add_t[vec, mul_t[digit, row]]
+            heads = add_t[vec, span[:q ** min(t, k - s - 1 - r)]]
+            while len(heads):
+                m = min(len(buf) - filled, len(heads))
+                buf[filled:filled + m], heads = heads[:m], heads[m:]
+                filled += m
+                # a full batch, or the last head (leading index k-s-1 has one)
+                if filled == len(buf) or r == k - s - 1:
+                    agree = (buf[:filled, :, None] == low).view(np.uint8).sum(
+                        axis=1, dtype=count)
+                    best, filled = min(best, n - int(agree.max())), 0
+                    if best <= 1:
+                        return best
     return best
 
 

@@ -10,10 +10,16 @@ MC (x) MD - I on the Kronecker product, a packed numpy elimination, and the
 semisimple-only eigenvalue pairing.  Tests compare the library against
 them, and the matrix path also on random invertible matrices drawn here.
 
-The exact minimum distance has its two earlier kernels here too: blocks of
-message indices decoded digit by digit, with one table multiply and one
-table add per free row and message; and the row-major span table of the
-last generator rows, with one comparison against it per head codeword.
+The exact minimum distance has its three earlier kernels here too: blocks
+of message indices decoded digit by digit, with one table multiply and one
+table add per free row and message; the row-major span table of the last
+generator rows, with one comparison against it per head codeword; and the
+batched kernel, which rebuilt the heads of each leading index digit by
+digit in batches of their own and compared each batch with the leading
+columns of the position-major span table.
+
+Code construction has its per-entry monomial evaluation here, one pow and
+one mul per coordinate of each entry.
 
 The quadratic branch sampler has its list of all q^2 pairs (b, c) here.
 
@@ -561,6 +567,74 @@ def span_table_min_distance(code: cd.LinearCode,
                     if best <= 1:
                         return best
     return best
+
+
+def batched_min_distance(code: cd.LinearCode,
+                         budget: int = cd.DEFAULT_DISTANCE_BUDGET) -> int:
+    """Exact minimum Hamming weight over nonzero codewords.
+
+    Enumerates projective message representatives (first nonzero message
+    coordinate fixed to 1) since scaling a message scales the codeword and
+    preserves its weight.  Table L (n x q^s) holds all combinations of the
+    last s generator rows, s as large as q^s * n <= MAX_KERNEL_CELLS / 4
+    allows (at least 1).  For leading index i, the heads h (row i plus a
+    combination of the rows between i and L) come in batches whose one
+    comparison with the first q^min(s, k-1-i) columns x of L takes at most
+    MAX_KERNEL_CELLS cells (or one head): wt(h - x) is n minus the positions
+    where x == h, summed in the narrowest dtype that holds n.  The search
+    stops after the first batch with a codeword of weight <= 1.
+    check_table_budget refuses a code whose tables would be over budget
+    before any table is built.
+    """
+    if code.k == 0:
+        raise Precondition("zero code has no minimum distance")
+    q, n, k = code.field.q, code.n, code.k
+    total = cd.enumeration_size(q, k)
+    if total > budget:
+        raise BudgetExceeded(
+            f"enumeration needs {total} messages, budget is {budget}")
+    cd.check_table_budget(q, n)
+    add_t, mul_t = code.field.numpy_tables()
+    gen = np.array(code.generator, dtype=add_t.dtype)
+    s = 1
+    while s + 1 < k and q ** (s + 1) * n <= cd.MAX_KERNEL_CELLS >> 2:
+        s += 1
+    low = cd._span_table(add_t, mul_t, gen[k - s:])
+    best = n + 1
+    for i in range(k):
+        table = low[:, :q ** min(s, k - 1 - i)]
+        free = gen[i + 1:k - s]                           # rows above L
+        heads_total = q ** len(free)
+        batch = max(1, cd.MAX_KERNEL_CELLS // table.size)
+        for start in range(0, heads_total, batch):
+            idx = np.arange(start, min(start + batch, heads_total))
+            heads = np.broadcast_to(gen[i], (len(idx), n))
+            for row in free:
+                idx, digit = np.divmod(idx, q)
+                heads = add_t[heads, mul_t[digit[:, None], row]]
+            agree = (heads[:, :, None] == table).view(np.uint8).sum(
+                axis=1, dtype=np.min_scalar_type(n))
+            best = min(best, n - int(agree.max()))
+            if best <= 1:
+                return best
+    return best
+
+
+def _eval_monomial(field: gf.FieldSpec, exp: tuple[int, ...],
+                   point: tuple[int, ...]) -> int:
+    acc = 1
+    for e, c in zip(exp, point):
+        if e:
+            if c == 0:
+                return 0
+            acc = field.mul(acc, field.pow(c, e))
+    return acc
+
+
+def monomial_rows(field: gf.FieldSpec, exponents, points) -> list[list[int]]:
+    """The value of each monomial at each point, one _eval_monomial call per
+    entry."""
+    return [[_eval_monomial(field, exp, p) for p in points] for exp in exponents]
 
 
 def berkowitz_charpoly(rows: Sequence[int], n: int) -> list[int]:

@@ -300,6 +300,7 @@ ERROR_FILES = {
     "not_utf8.json": b"\xff\xfe{}",
     "divisor_a.json": json.dumps({**_CODE, "divisor": ["a"]}).encode(),
     "surface_torus.json": json.dumps({**_CODE, "surface": {"kind": "torus"}}).encode(),
+    "two_million_points.json": json.dumps({**_CODE, "n": 2 * 10 ** 6, "k": 5}).encode(),
 }
 _QUADRIC = ("--surface", "p1xp1", "--q", "3", "--divisor", "1,1")
 
@@ -411,6 +412,16 @@ ERROR_TABLE = [
      2, "precondition", "the diagram would print an integer of more than 4300 digits"),
     ("asym_polygon_long_q", ("asym", "polygon", "--q", str(10 ** 2200 + 1), "--g", "2"),
      2, "precondition", "kappa would print an integer of more than 4300 digits"),
+    ("codes_long_q", ("code", "build", "--surface", "p2", "--q", str(10 ** 2200 + 1),
+                      "--divisor", "1"),
+     3, "budget", "a 4401-digit number of evaluation points exceed 1000000"),
+    ("codes_long_q_grid", ("code", "build", "--surface", "p1xp1", "--q", str(10 ** 2200 - 1),
+                           "--divisor", "1,1", "--points", "grid"),
+     3, "budget", "a 4400-digit number of evaluation points exceed 1000000"),
+    # added later: the document's own n and k are checked before its generator
+    # (n = 2 10^6 with a 4-entry generator was a length precondition, exit 2)
+    ("json_point_budget", ("code", "distance", "--in", "two_million_points.json"),
+     3, "budget", "2000000 evaluation points exceed 1000000"),
 ]
 
 

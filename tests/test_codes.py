@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -10,7 +11,8 @@ from surfcodes.codes import (build_code, code_from_json_dict, enumeration_size,
                              exact_min_distance, rational_locus_check,
                              rational_points, section_basis, section_count)
 from surfcodes.errors import BudgetExceeded, Precondition
-from oracles import blocked_min_distance, span_table_min_distance
+from oracles import (batched_min_distance, blocked_min_distance, monomial_rows,
+                     span_table_min_distance)
 
 SWEEP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
 
@@ -54,6 +56,19 @@ def random_sweep_codes(seed: int, count: int) -> list[cd.LinearCode]:
                                  generator=tuple(map(tuple, rows)),
                                  section_count=k))
     return out
+
+
+def kernel_layout(code: cd.LinearCode, cells: int) -> tuple[int, int, int]:
+    """(s, t, heads per batch) of exact_min_distance under a cell cap: L holds
+    the last s rows, the head table the last t free rows."""
+    q, n, k = code.field.q, code.n, code.k
+    s = 1
+    while s + 1 < k and q ** (s + 1) * n <= cells >> 2:
+        s += 1
+    t = 0
+    while t + 1 < k - s and q ** (t + 1) * n <= cells:
+        t += 1
+    return s, t, max(1, cells // (n * q ** s))
 
 
 class TestRationalPoints:
@@ -216,6 +231,19 @@ class TestBuildCode:
         with pytest.raises(ValueError, match=message):
             code_from_json_dict(d)
 
+    @pytest.mark.parametrize("n, k, message", [
+        (cd.MAX_POINTS + 1, 1, "1000001 evaluation points exceed 1000000"),
+        (2 * 10 ** 6, 5, "2000000 evaluation points exceed 1000000"),
+        (10 ** 6, 11, "11 rows at 1000000 points exceed 10000000 generator entries"),
+    ])
+    def test_json_size_budget_before_generator(self, n, k, message):
+        # read from the document's own n and k: a short generator list is
+        # refused for its size, not for its length
+        d = {"field": {"p": 2, "m": 1, "modulus": [0]}, "n": n, "k": k,
+             "generator": [1, 0, 1]}
+        with pytest.raises(BudgetExceeded, match=message):
+            code_from_json_dict(d)
+
     def test_json_rejects_rank_deficient_generator(self):
         s = sf.quadric_p1xp1()
         d = build_code(s, s.divisor(1, 1), 3).to_json_dict()
@@ -238,6 +266,26 @@ class TestBuildCode:
         d[key] = bad
         with pytest.raises(Precondition, match=f"^{message}"):
             code_from_json_dict(d)
+
+    @pytest.mark.parametrize("surface, div, q, tag, grid", [
+        *[(surface, div, q, tag, None) for surface, div, q, tag in CATALOG],
+        (sf.quadric_p1xp1(), (2, 0), 729, "grid", (range(0, 729, 81), range(0, 700, 100))),
+        (sf.quadric_p1xp1(), (2, 0), 256, "grid", (range(3, 256, 21), range(5, 256, 31))),
+        (sf.quadric_p1xp1(), (2, 3), 256, "grid", (range(0, 256, 16), range(1, 256, 32))),
+        (sf.projective_plane(), (0,), 3, "all", None),
+        (sf.hirzebruch(2), (5, 2), 5, "all", None),
+        (sf.hirzebruch(2), (6, 2), 7, "grid", None),
+    ], ids=CATALOG_IDS + ["quadric_20_q729_grid", "quadric_20_q256_grid",
+                          "quadric_23_q256_grid", "p2_0_q3", "hirzebruch2_52_q5",
+                          "hirzebruch2_62_q7_grid"])
+    def test_evaluation_rows_match_eval_monomial(self, surface, div, q, tag, grid):
+        # every row, kept or not, equals the per-entry evaluation
+        pts = rational_points(surface, q, tag, grid)
+        points = [(t, 1, x, 1) for t, x in pts.points] if tag == "grid" else pts.points
+        field = gf.field_from_order(q)
+        exponents = section_basis(surface, surface.divisor(*div)).exponents
+        assert (cd._evaluation_rows(field, exponents, points)
+                == monomial_rows(field, exponents, points))
 
     def test_deterministic(self):
         s = sf.hirzebruch(2)
@@ -335,25 +383,29 @@ class TestExactMinDistance:
                              ids=["default", "one_row", "small_table", "split_heads"])
     def test_sweep_matches_span_table_oracle(self, monkeypatch, cells):
         # a cap of 1 compares one head at a time with a one-row table, and
-        # 5000 cuts the heads of one leading index into uneven batches
+        # 5000 shares batches between leading indices; the batched oracle
+        # (the kernel this one replaced) runs under the same cap
         if cells is not None:
             monkeypatch.setattr(cd, "MAX_KERNEL_CELLS", cells)
         sweep = random_sweep_codes(seed=7, count=220)
-        assert ([exact_min_distance(c) for c in sweep]
-                == [span_table_min_distance(c) for c in sweep])
+        got = [exact_min_distance(c) for c in sweep]
+        assert got == [span_table_min_distance(c) for c in sweep]
+        assert got == [batched_min_distance(c) for c in sweep]
 
     def test_split_heads_cap_splits_batches(self):
-        # under the documented layout, a cap of 5000 cuts the heads of
-        # leading index 0 into several batches, the last one short
-        def split(code):
-            q, n, k = code.field.q, code.n, code.k
-            s = 1
-            while s + 1 < k and q ** (s + 1) * n <= 5000 >> 2:
-                s += 1
-            heads = q ** max(0, k - 1 - s)
-            batch = max(1, 5000 // (n * q ** min(s, k - 1)))
-            return 1 < batch < heads and heads % batch != 0
-        assert sum(map(split, random_sweep_codes(seed=7, count=220))) >= 50
+        # under the documented layout, a cap of 5000 makes the heads of
+        # consecutive leading indices share a batch on many sweep codes, with
+        # more than one batch and the last one short, and caps the head
+        # table below the free rows on some
+        shared = capped = 0
+        for code in random_sweep_codes(seed=7, count=220):
+            s, t, batch = kernel_layout(code, 5000)
+            q, k = code.field.q, code.k
+            ends = list(itertools.accumulate(q ** (k - s - 1 - r) for r in range(k - s)))
+            shared += (any(end % batch for end in ends[:-1])
+                       and batch < ends[-1] and ends[-1] % batch != 0)
+            capped += t < k - s - 1
+        assert shared >= 50 and capped >= 10
 
     @pytest.mark.parametrize("cells", [None, 5000], ids=["default", "split_heads"])
     @pytest.mark.parametrize("surface, div, q, tag", CATALOG, ids=CATALOG_IDS)
@@ -362,7 +414,26 @@ class TestExactMinDistance:
         if cells is not None:
             monkeypatch.setattr(cd, "MAX_KERNEL_CELLS", cells)
         code = build_code(surface, surface.divisor(*div), q, tag)
-        assert exact_min_distance(code) == span_table_min_distance(code)
+        assert (exact_min_distance(code) == span_table_min_distance(code)
+                == batched_min_distance(code))
+
+    @pytest.mark.parametrize("rows, d", [
+        # k = 1: L is the whole code and no head is built
+        (((1, 2, 0, 1, 2),), 4),
+        # k = s + 1: one leading index above L, with a single head
+        (((1, 1, 1, 0, 0, 0), (0, 1, 2, 1, 1, 0), (0, 0, 1, 2, 1, 1)), 3),
+        # row 0 weighs 2 wherever rows 1 and 2 are zero, so every head has
+        # weight >= 2; the weight-1 word row 1 + row 2 lies in L alone
+        (((1, 1, 2, 0, 1, 2), (0, 0, 1, 2, 2, 1), (0, 0, 2, 1, 1, 0)), 1),
+    ], ids=["k1", "k_s_plus_1", "weight1_in_L"])
+    def test_edge_layouts(self, rows, d):
+        code = cd.LinearCode(field=gf.field_from_order(3), n=len(rows[0]), k=len(rows),
+                             generator=rows, section_count=len(rows))
+        assert cd.matrix_rank(code.field, rows) == code.k
+        s, t, _ = kernel_layout(code, cd.MAX_KERNEL_CELLS)
+        assert s == max(1, code.k - 1) and t == 0
+        assert exact_min_distance(code) == d
+        assert d == batched_min_distance(code) == blocked_min_distance(code)
 
     def test_wide_field_elements_stay_uint16(self):
         # F_729 elements do not fit in uint8; grid (2, 0) on 9 x 7 points is
@@ -396,6 +467,30 @@ class TestExactMinDistance:
         finally:
             tracemalloc.stop()
         assert d == 4096
+        assert peak < 16 << 20
+
+    def test_memory_bounded_with_capped_head_table(self):
+        # q = 2, n = 5000, k = 16: the 10 free rows of leading index 0 would
+        # span 2^10 * 5000 cells, so the head table holds only the last 7 and
+        # 3 rows lie above it
+        rng = random.Random(16)
+        field = gf.field_from_order(2)
+        n, k = 5000, 16
+        while True:
+            rows = tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(k))
+            if cd.matrix_rank(field, rows) == k:
+                break
+        code = cd.LinearCode(field=field, n=n, k=k, generator=rows, section_count=k)
+        assert kernel_layout(code, cd.MAX_KERNEL_CELLS)[:2] == (5, 7)
+        assert 2 ** 10 * n > cd.MAX_KERNEL_CELLS
+        want = batched_min_distance(code)
+        tracemalloc.start()
+        try:
+            d = exact_min_distance(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == want
         assert peak < 16 << 20
 
     def test_field_without_tables_is_over_budget(self):
