@@ -20,12 +20,11 @@ import csv
 import itertools
 import math
 import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import BudgetExceeded, InvariantError, Precondition
+from .errors import BudgetExceeded, InvariantError, Precondition, check_printable
 
 RationalLike = Union[Fraction, int, str]
 
@@ -34,16 +33,8 @@ RationalLike = Union[Fraction, int, str]
 MAX_DIAGRAM_SAMPLES = 250_000
 
 
-def _check_printable(what: str, *ints: int) -> None:
-    """Refuse, as a Precondition, integers the interpreter would not print:
-    more digits than sys.get_int_max_str_digits() allows."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
-    if limit and max(map(abs, ints)) >= 10 ** limit:
-        raise Precondition(f"{what} would print an integer of more than {limit} digits")
-
-
 def rational_to_json(x: Fraction, name: str) -> str:
-    _check_printable(name, x.numerator, x.denominator)
+    check_printable(name, x.numerator, x.denominator)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -184,7 +175,7 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
     poly = polygon_image(q, g)          # checks 2 <= g <= q before dividing by g
     # the longest integers the rows print: chi = 1/(g(q+1)(grid_n-1)) at
     # j = 1 and D1's chi = 1/(2(q+1)^2); every other part is smaller
-    _check_printable("the diagram", g * (q + 1) * (grid_n - 1), 2 * (q + 1) ** 2)
+    check_printable("the diagram", g * (q + 1) * (grid_n - 1), 2 * (q + 1) ** 2)
     if svg_path and os.path.realpath(svg_path) == os.path.realpath(path):
         raise Precondition(f"the CSV and the SVG would both be written to {path!r}")
     corners = (_corner_row(q, poly[name1], poly[name2])

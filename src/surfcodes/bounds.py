@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import codes as cd
 from . import surfaces as sf
-from .errors import BudgetExceeded, Precondition
+from .errors import BudgetExceeded, Precondition, int_text
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +225,12 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
         gamma_div = universal_gamma(surface, l, q, affine)
         gdotg = sf.intersect(gamma_div, g)
         report.entries.append(BoundEntry(
-            "interpolating", n - gdotg, True,
+            "interpolating", interpolating_bound(n, gamma_div, g), True,
             f"Gamma = {'q' if affine else '(q+1)'}L with L = {l.coords}"
             + ("; caller asserts the point set avoids a member of |L|"
                if affine else "")
-            + f"; Gamma.G = {gdotg}; Gamma^2 = "
-            f"{sf.intersect(gamma_div, gamma_div)} >= n is "
+            + f"; Gamma.G = {int_text(gdotg)}; Gamma^2 = "
+            f"{int_text(sf.intersect(gamma_div, gamma_div))} >= n is "
             f"{gamma_square_check(gamma_div, n)}"))
 
     # Aubry
@@ -299,10 +299,13 @@ def lifted_bound(report: BoundReport, deg: int) -> BoundReport:
     out = BoundReport(n=deg * report.n, k_lower=None)
     for e in report.entries:
         if e.name == "interpolating":
+            rel = Fraction(e.value, report.n)
+            rel_text = int_text(rel.numerator) + (
+                f"/{int_text(rel.denominator)}" if rel.denominator > 1 else "")
             out.entries.append(BoundEntry(
                 "interpolating", deg * e.value, True,
                 f"pullback along a degree-{deg} totally split cover; "
-                f"relative bound {Fraction(e.value, report.n)} preserved"))
+                f"relative bound {rel_text} preserved"))
         elif e.name == "aubry":
             out.entries.append(BoundEntry(
                 "aubry", None, False,

@@ -2,13 +2,14 @@
 stdout (or --out), deterministic seeds, and budget guards.
 
 Exit codes: 0 success, 1 internal error, 2 precondition violation, 3 budget
-exceeded, 4 I/O error.  The library's three exception types
-(surfcodes.errors) carry exit codes 2, 3 and 1, and an OSError is exit 4.
-Any other exception, a ValueError or ZeroDivisionError included, is a bug:
-kind "internal", exit 1, traceback on stderr.  Text the user gives (integer
-lists, ranges, rationals, the --point pair) is parsed here, so its errors
-are Preconditions too.  On failure, usage errors included, a structured
-{"error": {...}} JSON is printed and the process exits nonzero.
+exceeded, 4 I/O error.  The library's three exception types (surfcodes.errors)
+carry exit codes 2, 3 and 1, and an OSError is exit 4.  The interpreter's
+ValueError on an int too long to print is a precondition too (exit 2); any
+other exception is a bug: kind "internal", exit 1, traceback on stderr.  Text
+the user gives (integer lists, ranges, rationals, the --point pair) is parsed
+here, so its errors are Preconditions too.  On failure, usage errors
+included, a structured {"error": {...}} JSON is printed and the process exits
+nonzero.
 
 Each command imports the library modules it runs when it runs, so a verb
 loads only those (``asym map`` never loads the field arithmetic).
@@ -21,7 +22,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .errors import BudgetExceeded, InvariantError, Precondition
+from .errors import BudgetExceeded, InvariantError, Precondition, print_limit
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -62,10 +63,10 @@ def _parse_range(text: str) -> range:
 
 def _parse_rational(text: str) -> Fraction:
     """Fraction(text); text whose digits plus exponent exceed the digits an
-    int may print (sys.get_int_max_str_digits) is refused unevaluated."""
+    int may print (errors.print_limit) is refused unevaluated."""
     mantissa, _, exp = text.lower().partition("e")
     exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    limit = print_limit()
     if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp)
                                       + sum(map(str.isdecimal, mantissa)) > limit):
         raise Precondition(f"{text!r}: digits plus exponent exceed {limit}", kind="parse")
@@ -313,6 +314,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(_error_json("io", str(exc)))
         return EXIT_IO
     except Exception as exc:                      # a library bug
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            exc = Precondition("the result would print an integer of more than "
+                               f"{print_limit()} digits")     # bad input, not a bug
+            sys.stdout.write(_error_json(exc.kind, str(exc)))
+            return exc.exit_code
         import traceback                          # not loaded at start-up
         traceback.print_exc()
         sys.stdout.write(_error_json("internal", f"{type(exc).__name__}: {exc}"))

@@ -32,13 +32,12 @@ import functools
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf
 from . import surfaces as sf
-from .errors import BudgetExceeded, Precondition
+from .errors import BudgetExceeded, Precondition, int_text
 
 DEFAULT_DISTANCE_BUDGET = 10_000_000
 MAX_POINTS = 10 ** 6
@@ -69,11 +68,7 @@ def _projective_points(elements, dim: int):
 
 def _check_point_budget(n: int) -> None:
     if n > MAX_POINTS:
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
-        if limit and n >= 10 ** limit:    # too long to print: name its digits
-            d = int(math.log10(n)) + 1            # off by at most one: correct it
-            n = f"a {d + (n >= 10 ** d) - (n < 10 ** (d - 1))}-digit number of"
-        raise BudgetExceeded(f"{n} evaluation points exceed {MAX_POINTS}")
+        raise BudgetExceeded(f"{int_text(n, 'evaluation points')} exceed {MAX_POINTS}")
 
 
 def grid_sides(surface: sf.SurfaceModel, q: int,
@@ -118,8 +113,7 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
     if tag != "all":
         raise Precondition(f"unknown point tag {tag!r}")
     if surface.kind not in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
-        raise Precondition(
-            f"{surface.kind} has no point enumeration (bounds only)")
+        raise Precondition(f"{surface.kind} has no point enumeration (bounds only)")
     _check_point_budget(sf.point_count(surface, q))
     field = gf.field_from_order(q)
     if surface.kind == sf.P2:
@@ -159,8 +153,7 @@ def section_count(surface: sf.SurfaceModel, g: sf.DivisorClass) -> int:
         m = min(v, u // e) if e else v
         count = (m + 1) * (u + 1) - e * m * (m + 1) // 2 if u >= 0 and v >= 0 else 0
     else:
-        raise Precondition(
-            f"{surface.kind} has no section basis (bounds only)")
+        raise Precondition(f"{surface.kind} has no section basis (bounds only)")
     if not count:
         raise Precondition(f"no sections for divisor {g.coords} on {surface.kind}")
     return count
@@ -217,7 +210,7 @@ class LinearCode:
     grid: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "field": self.field.to_json_dict(),
             "n": self.n,
             "k": self.k,
@@ -228,7 +221,6 @@ class LinearCode:
             "section_count": self.section_count,
             "generator": [int(x) for row in self.generator for x in row],
         }
-        return d
 
     def generator_csv(self) -> str:
         return "\n".join(",".join(str(x) for x in row) for row in self.generator) + "\n"
@@ -354,8 +346,8 @@ def build_code(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int,
     if not pts.points:
         raise Precondition("empty evaluation set")
     if sections * len(pts.points) > MAX_CODE_CELLS:
-        raise BudgetExceeded(f"{sections} sections at {len(pts.points)} points "
-                             f"exceed {MAX_CODE_CELLS} generator entries")
+        raise BudgetExceeded(f"{int_text(sections, 'sections')} at {len(pts.points)} "
+                             f"points exceed {MAX_CODE_CELLS} generator entries")
     basis = section_basis(surface, g)
     field = gf.field_from_order(q)
     # A grid pair (t, x) is the chart point (t, 1, x, 1): chart t1 = x1 = 1 on
@@ -433,7 +425,7 @@ def exact_min_distance(code: LinearCode,
     total = enumeration_size(q, k)
     if total > budget:
         raise BudgetExceeded(
-            f"enumeration needs {total} messages, budget is {budget}")
+            f"enumeration needs {int_text(total, 'messages')}, budget is {budget}")
     check_table_budget(q, n)
     import numpy as np
     add_t, mul_t = code.field.numpy_tables()
@@ -487,7 +479,7 @@ def _locus_survivors(ell: int, q: int, m: int, budget: int
     ext, emb = gf.extension_field(field, m)
     npoints = (ext.q ** (ell + 1) - 1) // (ext.q - 1)
     if npoints > budget:
-        raise BudgetExceeded(f"P^{ell}(F_{ext.q}) has {npoints} points, "
+        raise BudgetExceeded(f"P^{ell}(F_{ext.q}) has {int_text(npoints, 'points')}, "
                              f"budget is {budget}")
     subfield = set(emb)
     survivors = {pt for pt in _projective_points(ext.elements(), ell)

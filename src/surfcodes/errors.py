@@ -1,10 +1,14 @@
-"""The library's three exception types, one per exit code of the CLI.
+"""The library's three exception types, one per exit code of the CLI, and
+the one owner of the interpreter's limit on printing an int.
 
 Every deliberate refusal in the library raises one of these, and each
 carries the exit code and error kind the CLI reports for it.  The CLI ends
 an OSError with exit 4 and any other exception as a bug (kind "internal",
-exit 1).
+exit 1), but for a result too long to print (exit 2).  Messages name a
+computed integer through int_text, so no message fails to print.
 """
+
+import sys
 
 
 class Precondition(ValueError):
@@ -31,3 +35,26 @@ class InvariantError(RuntimeError):
 
     exit_code = 1
     kind = "internal"
+
+
+def print_limit() -> int:
+    """sys.get_int_max_str_digits(); 0, no limit, before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def check_printable(what: str, *ints: int) -> None:
+    """Refuse, as a Precondition, integers the interpreter would not print."""
+    limit = print_limit()
+    if limit and max(map(abs, ints)) >= 10 ** limit:
+        raise Precondition(f"{what} would print an integer of more than {limit} digits")
+
+
+def int_text(n: int, noun: str = "") -> str:
+    """f"{n} {noun}" for a message, or "a D-digit number of {noun}" (D exact)
+    when n has more digits than the interpreter prints."""
+    limit, a = print_limit(), abs(n)
+    if not limit or a < 10 ** limit:
+        return f"{n} {noun}".rstrip()
+    d = int((a.bit_length() - 1) * 0.30102999566398) + 1    # off by at most one
+    d += (a >= 10 ** d) - (a < 10 ** (d - 1))
+    return f"a {d}-digit {'negative ' * (n < 0)}number{' of ' * bool(noun)}{noun}"

@@ -30,12 +30,22 @@ from __future__ import annotations
 import operator
 from array import array
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, Precondition
 
 MAX_FIELD_SIZE = 65536
 MAX_TABLE_ORDER = 4096
+
+
+def _digits(a: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of a, least significant first."""
+    out = []
+    for _ in range(m):
+        out.append(a % p)
+        a //= p
+    return out
 
 
 def prime_factors(n: int) -> list[int]:
@@ -92,13 +102,6 @@ class FieldSpec:
 
     # -- raw digit arithmetic (table bootstrap) -----------------------------
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
     def _from_digits(self, digits: Sequence[int]) -> int:
         return sum(d * w for d, w in zip(digits, self._pows))
 
@@ -108,7 +111,7 @@ class FieldSpec:
         if self.m == 1:
             return (a * b) % self.p
         fp = make_field(self.p)
-        prod = fp.poly(self._digits(a)) * fp.poly(self._digits(b))
+        prod = fp.poly(_digits(a, self.p, self.m)) * fp.poly(_digits(b, self.p, self.m))
         return self._from_digits((prod % fp.poly(self.modulus + (1,))).coeffs)
 
     def _raw_pow(self, a: int, e: int) -> int:
@@ -152,20 +155,19 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        return self._from_digits([(x + y) % self.p
-                                  for x, y in zip(self._digits(a), self._digits(b))])
+        p, m = self.p, self.m
+        return self._from_digits([(x + y) % p for x, y in zip(_digits(a, p, m),
+                                                              _digits(b, p, m))])
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        return self._from_digits([(-x) % self.p for x in self._digits(a)])
+        return self._from_digits([(-x) % self.p for x in _digits(a, self.p, self.m)])
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        return a ^ b if self.p == 2 else self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -305,7 +307,7 @@ def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
     beta = next((c for c in ext.elements() if poly_eval(mod, c) == 0), None)
     if beta is None:
         raise InvariantError("base modulus has no root in the extension")
-    emb = [poly_eval(ext.poly(base._digits(a)), beta) for a in base.elements()]
+    emb = [poly_eval(ext.poly(_digits(a, base.p, base.m)), beta) for a in base.elements()]
     return ext, emb
 
 
@@ -416,15 +418,11 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = F.add(a[i], c)
-        return Polynomial(F, a)
+        return Polynomial(F, (F.add(a, b) for a, b in
+                              zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __neg__(self) -> "Polynomial":
-        F = self.field
-        return Polynomial(F, (F.neg(c) for c in self.coeffs))
+        return Polynomial(self.field, map(self.field.neg, self.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -432,8 +430,6 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         F = self.field
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(F)
         if F.m == 1:
             return Polynomial(F, _kron(self.coeffs, other.coeffs, F.p))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -490,11 +486,8 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            mult = i % F.p
-            out.append(F.mul(F.from_int(mult), self.coeffs[i]) if mult else 0)
-        return Polynomial(F, out)
+        return Polynomial(F, (F.mul(F.from_int(i), c)
+                              for i, c in enumerate(self.coeffs[1:], 1)))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -538,38 +531,35 @@ def poly_pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     products against inv, the inverse of the reversed monic associate of
     mod modulo x^(d-1) (Barrett reduction; the remainder modulo the monic
     associate is the remainder modulo mod)."""
-    F = base.field
-    base = base % mod
+    F, p, d = base.field, base.field.p, mod.degree
     if F.m > 1:
-        result = Polynomial.one(F)
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
-    p, d = F.p, mod.degree
-    m = mod.monic().coeffs
-    low, rev = m[:d], m[::-1]
-    inv = [1]
-    for j in range(1, d - 1):
-        inv.append(-sum(map(operator.mul, rev[1:j + 1], reversed(inv))) % p)
+        def mulmod(a: Polynomial, b: Polynomial) -> Polynomial:
+            return (a * b) % mod
 
-    def reduce(c: list[int]) -> list[int]:
-        # c has length <= 2d - 1, so its quotient has at most d - 1 terms
-        k = len(c) - d
-        if k <= 0:
-            return c
-        quot = _kron(c[:d - 1:-1], inv[:k], p)[k - 1::-1]
-        return [(x - y) % p for x, y in zip(c[:d], _kron(quot, low, p))]
+        result, b = Polynomial.one(F), base % mod
+    else:
+        m = mod.monic().coeffs
+        low, rev = m[:d], m[::-1]
+        inv = [1]
+        for j in range(1, d - 1):
+            inv.append(-sum(map(operator.mul, rev[1:j + 1], reversed(inv))) % p)
 
-    result, b = [1], list(base.coeffs)
+        def mulmod(a: list[int], b: list[int]) -> list[int]:
+            # the product has length <= 2d - 1, so its quotient at most d - 1 terms
+            c = _kron(a, b, p)
+            k = len(c) - d
+            if k <= 0:
+                return c
+            quot = _kron(c[:d - 1:-1], inv[:k], p)[k - 1::-1]
+            return [(x - y) % p for x, y in zip(c[:d], _kron(quot, low, p))]
+
+        result, b = [1], list((base % mod).coeffs)
     while e:
         if e & 1:
-            result = reduce(_kron(result, b, p))
-        b = reduce(_kron(b, b, p))
+            result = mulmod(result, b)
+        b = mulmod(b, b)
         e >>= 1
-    return Polynomial(F, result)
+    return result if F.m > 1 else Polynomial(F, result)
 
 
 def distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
@@ -608,11 +598,7 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         return (0,)
     fp = make_field(p)
     for enc in range(p ** m):
-        coeffs = []
-        t = enc
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
+        coeffs = _digits(enc, p, m)
         if distinct_degree(fp.poly(coeffs + [1]))[0][0] == m:
             return tuple(coeffs)
     raise InvariantError("no irreducible polynomial found; unreachable")

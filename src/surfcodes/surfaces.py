@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvariantError, Precondition
+from .errors import InvariantError, Precondition, int_text
 
 P2 = "P2"
 P1XP1 = "P1xP1"
@@ -125,27 +125,17 @@ def curve_product(g_c: int, g_d: int, n_c: int, n_d: int) -> SurfaceModel:
                         (2 * g_d - 2, 2 * g_c - 2), chi_o, chi_et)
 
 
-def make_surface(kind: str, **params) -> SurfaceModel:
+def surface_from_json(d: dict) -> SurfaceModel:
+    kind, params = d["kind"], d.get("params", [])
     if kind == P2:
         return projective_plane()
     if kind == P1XP1:
         return quadric_p1xp1()
     if kind == HIRZEBRUCH:
-        return hirzebruch(int(params["e"]))
-    if kind == CURVE_PRODUCT:
-        return curve_product(int(params["g_c"]), int(params["g_d"]),
-                             int(params["n_c"]), int(params["n_d"]))
-    raise Precondition(f"unknown surface kind {kind!r}")
-
-
-def surface_from_json(d: dict) -> SurfaceModel:
-    kind = d["kind"]
-    params = d.get("params", [])
-    if kind == HIRZEBRUCH:
         return hirzebruch(int(params[0]))
     if kind == CURVE_PRODUCT:
         return curve_product(*[int(x) for x in params])
-    return make_surface(kind)
+    raise Precondition(f"unknown surface kind {kind!r}")
 
 
 def intersect(d: DivisorClass, e: DivisorClass) -> int:
@@ -207,8 +197,8 @@ def riemann_roch_lower(surface: SurfaceModel, g: DivisorClass,
         raise Precondition(f"H = {h.coords} is not ample")
     k = surface.canonical
     if intersect(g, h) <= intersect(k, h):
-        raise Precondition(
-            f"G.H = {intersect(g, h)} must exceed K.H = {intersect(k, h)}")
+        raise Precondition(f"G.H = {int_text(intersect(g, h))} must exceed "
+                           f"K.H = {int_text(intersect(k, h))}")
     prod = intersect(g, g - k)
     if prod % 2 != 0:
         raise InvariantError("G.(G-K) must be even on a smooth surface")

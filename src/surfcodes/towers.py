@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import gf
-from .errors import BudgetExceeded, InvariantError, Precondition
+from .errors import BudgetExceeded, InvariantError, Precondition, int_text
 
 SEARCH_CANDIDATE_BUDGET = 1_000_000
 
@@ -38,11 +38,14 @@ SEARCH_CANDIDATE_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class HyperellipticCurve:
-    """y^2 = f(t) over an odd-order field; f squarefree of even degree >= 6."""
+    """y^2 = f(t) over an odd-order field; f over it, squarefree, of even degree >= 6."""
     field: gf.FieldSpec
     f: gf.Polynomial
 
     def __post_init__(self):
+        if self.f.field != self.field:
+            raise Precondition(f"f is a polynomial over F_{self.f.field.q}, "
+                               f"not over F_{self.field.q}")
         if self.field.q % 2 == 0:
             raise Precondition("hyperelliptic model needs odd q")
         if self.f.is_zero or self.f.degree % 2 != 0:
@@ -63,9 +66,8 @@ def hyperelliptic_point_count(curve: HyperellipticCurve) -> int:
     has 1 + chi(f(t)) points, and the two points at infinity are rational
     exactly when the leading coefficient is a nonzero square."""
     field, f = curve.field, curve.f
-    total = 0
-    for t in field.elements():
-        total += 1 + gf.quadratic_character(field, gf.poly_eval(f, t))
+    total = sum(1 + gf.quadratic_character(field, gf.poly_eval(f, t))
+                for t in field.elements())
     if gf.quadratic_character(field, f.leading) == 1:
         total += 2
     return total
@@ -102,11 +104,11 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
     if field.q % 2 == 0:
         raise Precondition("branch polynomials need odd q")
     if count < 0:
-        raise Precondition(f"{kind} factor count must be >= 0, got {count}")
+        raise Precondition(f"{kind} factor count must be >= 0, got {int_text(count)}")
     rng = random.Random(seed)
     if kind == "linear":
         if count > q:
-            raise Precondition(f"only {q} linear factors exist, need {count}")
+            raise Precondition(f"only {q} linear factors exist, need {int_text(count)}")
         roots = sorted(rng.sample(range(q), count))
         poly = gf.Polynomial.from_roots(field, roots)
     elif kind == "quadratic":
@@ -114,7 +116,8 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
         available = q * half
         if count > available:
             raise Precondition(
-                f"only {available} monic irreducible quadratics exist, need {count}")
+                f"only {available} monic irreducible quadratics exist, "
+                f"need {int_text(count)}")
         # t^2 + b t + c = (t + b/2)^2 + c - b^2/4 is irreducible over odd F_q
         # iff -(c - b^2/4) is a nonsquare, so the c that suit b are those
         # that suit 0, shifted by b^2/4: each b has (q - 1)/2 of them.  Index
@@ -195,8 +198,7 @@ def _elementary_divisors(module: FrobeniusModule) -> dict[int, list[int]]:
     if ones.count(ones[0]) % 2:
         ones[0] -= 2
     else:
-        ones[0] -= 1
-        ones[1] -= 1
+        ones[0], ones[1] = ones[0] - 1, ones[1] - 1
     out[1] = [e for e in ones if e]
     return out
 
@@ -411,7 +413,8 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
     total = math.prod(max(0, -((r.start - r.stop) // r.step)) if isinstance(r, range)
                       else len(r) for r in (g1_range, g2_range, rho_range))
     if total > SEARCH_CANDIDATE_BUDGET:
-        raise BudgetExceeded(f"{total} candidates exceed {SEARCH_CANDIDATE_BUDGET}")
+        raise BudgetExceeded(f"{int_text(total, 'candidates')} exceed "
+                             f"{SEARCH_CANDIDATE_BUDGET}")
     if total == 0:
         return []                   # the other ranges may be too long to walk
 

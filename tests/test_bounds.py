@@ -205,6 +205,37 @@ class TestParameterReport:
         assert rep.entry("grid").value == 3
         assert rep.entry("grid").value <= rep.exact["d"]
 
+    def test_curve_product_report(self):
+        # the catalog knows no very ample class on a product of curves, so
+        # the interpolating bound, the dimension bound and Aubry are all
+        # reported inapplicable
+        s = sf.curve_product(2, 2, 8, 8)
+        rep = parameter_report(s, s.divisor(1, 1), 3)
+        assert rep.n == 64
+        inter = rep.entry("interpolating")
+        assert (inter.value, inter.applicable, inter.reason) == (
+            None, False, "no very ample class known in the catalog for this surface")
+        assert not rep.entry("aubry").applicable
+        assert rep.k_lower is None and rep.to_json_dict()["k_lower"] == "n/a"
+
+    def test_long_q_report(self):
+        # with q = 10^2200 + 7, n and Gamma^2 have 4401 digits, more than the
+        # interpreter prints: the report is still built, and its reasons name
+        # those integers by their digits
+        q = 10 ** 2200 + 7
+        s = sf.quadric_p1xp1()
+        rep = parameter_report(s, s.divisor(1, 1), q, exact_budget=10 ** 6, xi=2,
+                               epsilon=Fraction(1, 2))
+        assert rep.n == (q + 1) ** 2 and rep.exact is None
+        assert rep.entry("interpolating").value == (q + 1) ** 2 - 2 * (q + 1)
+        assert rep.entry("interpolating").reason.endswith(
+            f"Gamma.G = {2 * (q + 1)}; Gamma^2 = a 4401-digit number >= n is True")
+        p2 = sf.projective_plane()
+        lifted = lifted_bound(parameter_report(p2, p2.divisor(1), q), 2)
+        assert lifted.entry("interpolating").reason == (
+            "pullback along a degree-2 totally split cover; relative bound "
+            "a 4401-digit number/a 4401-digit number preserved")
+
     def test_seshadri_upper_consistency(self):
         # any caller epsilon whose S1 bound is at most the interpolating one
         # must sit below Gamma.G/n
@@ -265,6 +296,22 @@ class TestLiftedBound:
         for deg in (1, 2, 3, 7, 20):
             lifted = lifted_bound(rep, deg)
             assert Fraction(lifted.entry("interpolating").value, lifted.n) == base
+
+    def test_seshadri_and_grid_entries_do_not_lift(self):
+        s = sf.quadric_p1xp1()
+        rep = parameter_report(s, s.divisor(1, 1), 3, epsilon=Fraction(1, 2), xi=2)
+        assert rep.entry("hansen_S1").applicable and rep.entry("hansen_S2").applicable
+        lifted = lifted_bound(rep, 2)
+        for name in ("hansen_S1", "hansen_S2"):
+            entry = lifted.entry(name)
+            assert (entry.value, entry.applicable) == (None, False)
+            assert entry.reason.startswith("liftable with caller inputs")
+        h = sf.hirzebruch(1)
+        rep = parameter_report(h, h.divisor(1, 1), 3, tag="grid", gamma="universal-affine")
+        assert rep.entry("grid").applicable
+        grid = lifted_bound(rep, 3).entry("grid")
+        assert (grid.value, grid.applicable, grid.reason) == (
+            None, False, "not liftable from base data")
 
     def test_invalid_degree(self):
         s = sf.quadric_p1xp1()

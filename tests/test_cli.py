@@ -295,12 +295,17 @@ def test_help_exits_0(capsys):
 
 
 _CODE = {"field": _F3, "n": 4, "k": 1, "generator": [1, 1, 1, 1]}
+# a 4001-digit integer and a 2,201-digit q: (q + 1)^2 has 4401 digits, one
+# more than the interpreter prints (4300)
+_B, _LONG_Q = str(10 ** 4000), str(10 ** 2200 + 7)
+_LONG_RESULT = "the result would print an integer of more than 4300 digits"
 ERROR_FILES = {
     "not_json.json": b"{not json",
     "not_utf8.json": b"\xff\xfe{}",
     "divisor_a.json": json.dumps({**_CODE, "divisor": ["a"]}).encode(),
     "surface_torus.json": json.dumps({**_CODE, "surface": {"kind": "torus"}}).encode(),
     "two_million_points.json": json.dumps({**_CODE, "n": 2 * 10 ** 6, "k": 5}).encode(),
+    "zero_code.json": json.dumps({**_CODE, "k": 0, "generator": []}).encode(),
 }
 _QUADRIC = ("--surface", "p1xp1", "--q", "3", "--divisor", "1,1")
 
@@ -422,6 +427,29 @@ ERROR_TABLE = [
     # (n = 2 10^6 with a 4-entry generator was a length precondition, exit 2)
     ("json_point_budget", ("code", "distance", "--in", "two_million_points.json"),
      3, "budget", "2000000 evaluation points exceed 1000000"),
+    ("codes_zero_code", ("code", "distance", "--in", "zero_code.json"),
+     2, "precondition", "zero code has no minimum distance"),
+    # added later: each of these ended as kind "internal", exit 1 (a computed
+    # integer past the 4300 digits the interpreter prints, in a bounds reason,
+    # a budget message or the JSON of a result)
+    ("bounds_long_q", ("bounds", "--surface", "p1xp1", "--q", _LONG_Q, "--divisor", "1,1"),
+     2, "precondition", _LONG_RESULT),
+    ("bounds_long_divisor", ("bounds", "--surface", "p1xp1", "--q", "3",
+                             "--divisor", f"{_B},{_B}"),
+     2, "precondition", _LONG_RESULT),
+    ("bounds_long_lift", ("bounds", "--surface", "p2", "--q", "3", "--divisor", _B,
+                          "--lift", _B),
+     2, "precondition", _LONG_RESULT),
+    ("codes_long_sections", ("code", "build", "--surface", "p1xp1", "--q", "3",
+                             "--divisor", f"{_B},{_B}"),
+     3, "budget", "a 8001-digit number of sections at 16 points exceed 10000000 "
+                  "generator entries"),
+    ("towers_long_ranges", ("tower", "search", "--q", "67", "--g1", f"1..{_B}",
+                            "--g2", f"1..{_B}", "--rho", "1"),
+     3, "budget", "a 8001-digit number of candidates exceed 1000000"),
+    ("towers_long_rho", ("tower", "check", "--q", "67", "--g1", "30", "--g2", "30",
+                         "--rho", _B),
+     2, "precondition", _LONG_RESULT),
 ]
 
 
@@ -456,6 +484,75 @@ def test_digit_limit_decided_before_files(capsys, tmp_path, monkeypatch, argv, c
     assert any(tmp_path.iterdir()) == (code == 0)
 
 
+LONG_FILES = {
+    "long_q.json": {**_CODE, "field": {"p": int(_LONG_Q), "m": 1, "modulus": [0]}},
+    "long_n.json": {**_CODE, "n": int(_B)},
+}
+_SURFACE_Q = ("--q", _LONG_Q, "--divisor")
+LONG_ARGS = {
+    # a 2,201-digit --q to every verb that takes one
+    "build_p2_q": ("code", "build", "--surface", "p2", *_SURFACE_Q, "1"),
+    "build_grid_q": ("code", "build", "--surface", "p1xp1", *_SURFACE_Q, "1,1",
+                     "--points", "grid"),
+    "distance_q": ("code", "distance", "--in", "long_q.json"),
+    "bounds_p2_q": ("bounds", "--surface", "p2", *_SURFACE_Q, "1"),
+    "bounds_p1xp1_q": ("bounds", "--surface", "p1xp1", *_SURFACE_Q, "1,1"),
+    "bounds_hirzebruch_q": ("bounds", "--surface", "hirzebruch", "--e", "1",
+                            *_SURFACE_Q, "2,1", "--exact", "--epsilon", "1/2", "--xi", "2"),
+    "bounds_grid_q": ("bounds", "--surface", "p1xp1", *_SURFACE_Q, "1,1", "--points", "grid"),
+    "bounds_lift_q": ("bounds", "--surface", "p2", *_SURFACE_Q, "1", "--lift", "2"),
+    "check_q": ("tower", "check", "--q", _LONG_Q, "--g1", "2", "--g2", "2", "--rho", "1"),
+    "search_q": ("tower", "search", "--q", _LONG_Q, "--g1", "2", "--g2", "2", "--rho", "1"),
+    "map_q": ("asym", "map", "--q", _LONG_Q, "--g", "2", "--point", "1/9,0"),
+    "polygon_q": ("asym", "polygon", "--q", _LONG_Q, "--g", "2"),
+    "diagram_q": ("asym", "diagram", "--q", _LONG_Q, "--g", "2", "--grid", "2"),
+    # 4001-digit option values
+    "distance_n": ("code", "distance", "--in", "long_n.json"),
+    "build_divisor": ("code", "build", "--surface", "p2", "--q", "3", "--divisor", _B),
+    "build_e": ("code", "build", "--surface", "hirzebruch", "--e", _B, "--q", "3",
+                "--divisor", "1,1"),
+    "bounds_divisor": ("bounds", "--surface", "p2", "--q", "3", "--divisor", _B),
+    "bounds_e": ("bounds", "--surface", "hirzebruch", "--e", _B, "--q", "3",
+                 "--divisor", "1,1"),
+    "bounds_lift": ("bounds", "--surface", "p2", "--q", "3", "--divisor", "1", "--lift", _B),
+    "bounds_xi": ("bounds", "--surface", "p2", "--q", "3", "--divisor", "1", "--xi", _B),
+    "bounds_divisor_xi": ("bounds", "--surface", "p2", "--q", "3", "--divisor", _B,
+                          "--xi", _B),
+    "check_g1": ("tower", "check", "--q", "67", "--g1", _B, "--g2", "2", "--rho", "1"),
+    "check_g2": ("tower", "check", "--q", "67", "--g1", "2", "--g2", _B, "--rho", "1"),
+    "search_rho": ("tower", "search", "--q", "67", "--g1", "30", "--g2", "30",
+                   "--rho", _B),
+    "search_rho_range": ("tower", "search", "--q", "67", "--g1", "2", "--g2", "2",
+                         "--rho", f"1..{_B}"),
+    "search_g1_range": ("tower", "search", "--q", "67", "--g1", f"{_B}..{_B}",
+                        "--g2", "2", "--rho", "1"),
+    "search_g2_range": ("tower", "search", "--q", "67", "--g1", "2", "--g2", f"1..{_B}",
+                        "--rho", "1"),
+    "map_g": ("asym", "map", "--q", "3", "--g", _B, "--point", "1/9,0"),
+    "diagram_grid": ("asym", "diagram", "--q", "3", "--g", "2", "--grid", _B),
+    # the six inputs pinned in ERROR_TABLE
+    **{row[0]: row[1] for row in ERROR_TABLE if row[0] in (
+        "bounds_long_q", "bounds_long_divisor", "bounds_long_lift",
+        "codes_long_sections", "towers_long_ranges", "towers_long_rho")},
+}
+
+
+@pytest.mark.parametrize("argv", LONG_ARGS.values(), ids=LONG_ARGS.keys())
+def test_long_integers_end_in_json(capsys, tmp_path, monkeypatch, argv):
+    # integers near and past the interpreter's 4300-digit print limit end in
+    # an answer (exit 0) or one structured refusal line (exit 2 or 3), never
+    # a traceback, and a refused result writes no --out file
+    monkeypatch.chdir(tmp_path)
+    for name, doc in LONG_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code = cli.main([*argv, "--out", "out.txt"])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3) and err == ""
+    assert (tmp_path / "out.txt").exists() == (code == 0)
+    if code:
+        assert out.count("\n") == 1 and list(json.loads(out)) == ["error"]
+
+
 class TestBoundsCommand:
     def test_report_with_exact(self, capsys):
         code, payload = run_json(capsys, "bounds", "--surface", "p1xp1",
@@ -478,6 +575,18 @@ class TestBoundsCommand:
         code, _ = run_json(capsys, "bounds", "--surface", "p1xp1", "--q", "3",
                            "--divisor", "1")
         assert code == 2
+
+    def test_lift_with_seshadri_data(self, capsys):
+        # the caller's Seshadri data does not transport on its own
+        code, payload = run_json(capsys, "bounds", *_QUADRIC, "--epsilon", "1/2",
+                                 "--xi", "2", "--lift", "2")
+        assert code == 0
+        entries = {e["name"]: e for e in payload["entries"]}
+        for name in ("hansen_S1", "hansen_S2"):
+            assert entries[name] == {
+                "name": name, "value": None, "applicable": False,
+                "reason": "liftable with caller inputs: Seshadri constants/global "
+                          "generation transport along unramified covers"}
 
     def test_exact_over_point_budget_is_null(self, capsys):
         # the code would exceed the point budget, so the report carries no

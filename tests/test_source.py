@@ -50,6 +50,19 @@ def test_exception_classes_only_in_errors():
                      "errors.py:InvariantError"]
 
 
+def test_print_limit_read_only_in_errors():
+    # one owner for the interpreter's limit on printing an int: only
+    # errors.py names sys.get_int_max_str_digits, as an attribute, a name or
+    # the string getattr looks it up by
+    name = "get_int_max_str_digits"
+    found = [path.name for path in LIBRARY for node in ast.walk(_tree(path))
+             if (isinstance(node, ast.Attribute) and node.attr == name)
+             or (isinstance(node, ast.Name) and node.id == name)
+             or (isinstance(node, ast.alias) and node.name == name)
+             or (isinstance(node, ast.Constant) and node.value == name)]
+    assert found == ["errors.py"]
+
+
 def test_no_builtin_raise_in_library():
     # the CLI reports a builtin ValueError, ZeroDivisionError or
     # RuntimeError as a bug, so no deliberate refusal raises one
@@ -192,7 +205,7 @@ def test_unreferenced_definitions_are_paper_formulas():
     assert unused == [
         "asymptotic.product_curve_point",
         "bounds.hansen_curve_bound", "bounds.hansen_curve_bound_uniform",
-        "bounds.interpolating_bound", "bounds.seshadri_upper",
+        "bounds.seshadri_upper",
         "codes.rational_locus_check",
         "surfaces.noether_identity",
         "towers.gs_check_chi_form", "towers.marked_invariants",

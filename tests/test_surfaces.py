@@ -5,7 +5,7 @@ import pytest
 from surfcodes import surfaces as sf
 from surfcodes.errors import Precondition
 from surfcodes.surfaces import (ampleness_flags, curve_product, hirzebruch,
-                                intersect, make_surface, noether_identity,
+                                intersect, noether_identity,
                                 point_count, projective_plane, quadric_p1xp1,
                                 riemann_roch_lower)
 
@@ -42,10 +42,10 @@ class TestMakeSurface:
         with pytest.raises(Precondition, match="genera must be >= 0"):
             curve_product(-1, 2, 8, 8)
         with pytest.raises(Precondition, match="unknown surface kind 'Klein'"):
-            make_surface("Klein")
+            sf.surface_from_json({"kind": "Klein"})
 
     def test_dispatch_and_json(self):
-        s = make_surface(sf.HIRZEBRUCH, e=3)
+        s = sf.surface_from_json({"kind": sf.HIRZEBRUCH, "params": [3]})
         assert s == hirzebruch(3)
         assert sf.surface_from_json(s.to_json_dict()) == s
         cp = curve_product(3, 4, 10, 12)

@@ -86,6 +86,16 @@ class TestPointCounts:
             HyperellipticCurve(F4, gf.Polynomial.from_roots(F4, [0, 1, 2, 3]) *
                                F4.poly((1, 0, 1)))
 
+    def test_field_must_be_the_polynomial_field(self):
+        # the F_7 split sextic read over F_5 was accepted and counted 7
+        # points, a count for no curve
+        f = gf.Polynomial.from_roots(gf.make_field(7, 1), range(6))
+        with pytest.raises(Precondition, match="^f is a polynomial over F_7, not over F_5$"):
+            HyperellipticCurve(gf.make_field(5), f)
+        with pytest.raises(Precondition, match="over F_7, not over F_49$"):
+            HyperellipticCurve(gf.make_field(7, 2), f)
+        assert hyperelliptic_point_count(HyperellipticCurve(gf.make_field(7), f)) == 8
+
 
 class TestSampling:
     def test_linear(self):
