@@ -14,6 +14,7 @@ Subpackage map:
 * ``asymptotic`` exact rational (kappa, chi) -> (delta, R) maps and diagrams
 * ``errors``     the three exception types, one per CLI exit code:
                  Precondition, BudgetExceeded, InvariantError
+* ``records``    Record, the immutable base of the library's small exact values
 * ``cli``        the ``surfcodes`` command-line tool
 
 Importing the package loads only ``errors``.  A submodule, or a name
@@ -27,7 +28,7 @@ from . import errors
 
 __version__ = "0.1.0"
 
-_MODULES = ("asymptotic", "bounds", "cli", "codes", "gf", "surfaces", "towers")
+_MODULES = ("asymptotic", "bounds", "cli", "codes", "gf", "records", "surfaces", "towers")
 
 # re-exported name -> the submodule defining it
 _NAMES = {
@@ -41,8 +42,8 @@ _NAMES = {
                      "hyperelliptic_product_certificate"), "towers"),
 }
 
-__all__ = ["asymptotic", "bounds", "cli", "codes", "errors", "gf", "surfaces", "towers",
-           *_NAMES, "__version__"]
+__all__ = ["asymptotic", "bounds", "cli", "codes", "errors", "gf", "records", "surfaces",
+           "towers", *_NAMES, "__version__"]
 
 
 def __getattr__(name):

@@ -20,11 +20,11 @@ import csv
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import BudgetExceeded, InvariantError, Precondition, check_printable
+from .errors import BudgetExceeded, InvariantError, Precondition, check_printable, int_text
+from .records import Record
 
 RationalLike = Union[Fraction, int, str]
 
@@ -38,13 +38,11 @@ def rational_to_json(x: Fraction, name: str) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class AsymptoticPoint:
+class AsymptoticPoint(Record):
     """A (kappa, chi) pair of exact rationals with kappa >= 0."""
-    kappa: Fraction
-    chi: Fraction
+    __slots__ = ("kappa", "chi")
 
-    def __post_init__(self):
+    def _check(self):
         for name, v in (("kappa", self.kappa), ("chi", self.chi)):
             if isinstance(v, float):
                 raise Precondition(f"{name} must be exact, got the float {v}")
@@ -58,10 +56,8 @@ class AsymptoticPoint:
                 "chi": rational_to_json(self.chi, "chi")}
 
 
-@dataclass(frozen=True)
-class CodePoint:
-    delta: Fraction
-    r: Fraction
+class CodePoint(Record):
+    __slots__ = ("delta", "r")
 
     def to_json_dict(self) -> dict:
         return {"delta": rational_to_json(self.delta, "delta"),
@@ -75,7 +71,7 @@ def asym_point(kappa: RationalLike, chi: RationalLike) -> AsymptoticPoint:
 def phi_g(q: int, g: int, pt: AsymptoticPoint) -> CodePoint:
     """The affine map into the code domain; relevant range 2 <= g <= q."""
     if not 2 <= g <= q:
-        raise Precondition(f"need 2 <= g <= q, got g = {g}, q = {q}")
+        raise Precondition(f"need 2 <= g <= q, got g = {int_text(g)}, q = {int_text(q)}")
     delta = 1 - g * (q + 1) * pt.kappa
     r = Fraction(g * (g - 1), 2) * pt.kappa + pt.chi
     return CodePoint(delta, r)
@@ -105,7 +101,7 @@ def polygon_image(q: int, g: int) -> dict:
     forms, e.g. A2 = (1 - g/(q+1), (g^2-g)/(2(q+1)^2)).
     """
     if not 2 <= g <= q:
-        raise Precondition(f"need 2 <= g <= q, got g = {g}, q = {q}")
+        raise Precondition(f"need 2 <= g <= q, got g = {int_text(g)}, q = {int_text(q)}")
     qq = (q + 1) ** 2
     gq = g * (q + 1)
     corners = {

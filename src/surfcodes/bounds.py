@@ -13,14 +13,14 @@ reports along finite covers in which the evaluation set splits totally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import floor
 from typing import Optional, Sequence
 
 from . import codes as cd
 from . import surfaces as sf
-from .errors import BudgetExceeded, Precondition, int_text
+from .errors import BudgetExceeded, Precondition, int_text, ints_text
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +34,7 @@ def _require_very_ample(surface: sf.SurfaceModel, d: sf.DivisorClass,
     flags = sf.ampleness_flags(surface, d)
     if flags.very_ample is not True:
         state = "undecided" if flags.very_ample is None else "not very ample"
-        raise Precondition(f"{name} = {d.coords} is {state}{where}")
+        raise Precondition(f"{name} = {ints_text(d.coords)} is {state}{where}")
 
 
 def universal_gamma(surface: sf.SurfaceModel, l: sf.DivisorClass, q: int,
@@ -124,24 +124,21 @@ def hirzebruch_grid_bound(a: int, b: int, e: int, u: int, v: int) -> int:
 # Joint reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundEntry:
-    name: str
-    value: Optional[int]
-    applicable: bool
-    reason: str
+class BoundEntry(Record):
+    __slots__ = ("name", "value", "applicable", "reason")
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "value": self.value,
                 "applicable": self.applicable, "reason": self.reason}
 
 
-@dataclass
-class BoundReport:
-    n: int
-    k_lower: Optional[int]
-    entries: list[BoundEntry] = dc_field(default_factory=list)
-    exact: Optional[dict] = None       # {"k": int, "d": int}
+class BoundReport(Record):
+    __slots__ = ("n", "k_lower", "entries", "exact")     # exact {"k": int, "d": int}
+    _defaults = {"entries": None, "exact": None}
+
+    def _check(self):
+        if self.entries is None:        # a fresh list, shared with no other report
+            object.__setattr__(self, "entries", [])
 
     def entry(self, name: str) -> Optional[BoundEntry]:
         return next((e for e in self.entries if e.name == name), None)
@@ -212,21 +209,21 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
         n = a_sz * b_sz
     else:
         n = sf.point_count(surface, q)
-    report = BoundReport(n=n, k_lower=None)
+    entries, k_lower, exact = [], None, None
 
     # interpolating bound
     l = _default_very_ample(surface)
     if l is None:
-        report.entries.append(BoundEntry(
+        entries.append(BoundEntry(
             "interpolating", None, False,
             "no very ample class known in the catalog for this surface"))
     else:
         affine = gamma == "universal-affine"
         gamma_div = universal_gamma(surface, l, q, affine)
         gdotg = sf.intersect(gamma_div, g)
-        report.entries.append(BoundEntry(
+        entries.append(BoundEntry(
             "interpolating", interpolating_bound(n, gamma_div, g), True,
-            f"Gamma = {'q' if affine else '(q+1)'}L with L = {l.coords}"
+            f"Gamma = {'q' if affine else '(q+1)'}L with L = {ints_text(l.coords)}"
             + ("; caller asserts the point set avoids a member of |L|"
                if affine else "")
             + f"; Gamma.G = {int_text(gdotg)}; Gamma^2 = "
@@ -235,10 +232,10 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
 
     # Aubry
     try:
-        report.entries.append(BoundEntry(
-            "aubry", aubry_bound(n, q, g), True, f"G = {g.coords} is very ample"))
+        entries.append(BoundEntry("aubry", aubry_bound(n, q, g), True,
+                                  f"G = {ints_text(g.coords)} is very ample"))
     except Precondition as exc:       # G is not very ample
-        report.entries.append(BoundEntry("aubry", None, False, str(exc)))
+        entries.append(BoundEntry("aubry", None, False, str(exc)))
 
     # Hansen (S), caller-supplied data only
     l_sq = sf.intersect(g, g)
@@ -249,22 +246,22 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
         if None in data.values():
             continue
         try:
-            report.entries.append(BoundEntry(
+            entries.append(BoundEntry(
                 name, hansen_seshadri_bound(n, l_sq, **data), True, reason))
         except Precondition as exc:   # epsilon <= 0 or xi < 1
-            report.entries.append(BoundEntry(name, None, False, str(exc)))
+            entries.append(BoundEntry(name, None, False, str(exc)))
 
     # grid-specific bound
     if tag == "grid":
         if surface.kind == sf.HIRZEBRUCH:
             (e,) = surface.params
             u, v = g.coords
-            report.entries.append(BoundEntry(
+            entries.append(BoundEntry(
                 "grid", hirzebruch_grid_bound(a_sz, b_sz, e, u, v), True,
-                f"affine {a_sz}x{b_sz} grid on Hirzebruch({e})"))
+                f"affine {a_sz}x{b_sz} grid on Hirzebruch({int_text(e)})"))
         elif surface.kind == sf.P1XP1:
             a, b = g.coords
-            report.entries.append(BoundEntry(
+            entries.append(BoundEntry(
                 "grid", product_grid_bound(n, a_sz, b_sz, a, b), True,
                 f"{a_sz}x{b_sz} grid on the quadric"))
 
@@ -272,7 +269,7 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
     if l is not None and n > gdotg:
         h = _find_ample_h(surface, g)
         if h is not None:
-            report.k_lower = sf.riemann_roch_lower(surface, g, h)
+            k_lower = sf.riemann_roch_lower(surface, g, h)
     # exact parameters
     if exact_budget and surface.kind in (sf.P2, sf.P1XP1, sf.HIRZEBRUCH):
         try:
@@ -280,10 +277,10 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
             cd.check_table_budget(q, n)
             code = cd.build_code(surface, g, q, tag, grid)
             d_exact = cd.exact_min_distance(code, exact_budget)
-            report.exact = {"k": code.k, "d": d_exact}
-        except BudgetExceeded:
-            report.exact = None
-    return report
+            exact = {"k": code.k, "d": d_exact}
+        except BudgetExceeded:      # exact stays None
+            pass
+    return BoundReport(n, k_lower, entries, exact)
 
 
 def lifted_bound(report: BoundReport, deg: int) -> BoundReport:
@@ -296,27 +293,26 @@ def lifted_bound(report: BoundReport, deg: int) -> BoundReport:
     inter = report.entry("interpolating")
     if inter is None or not inter.applicable:
         raise Precondition("report carries no applicable interpolating bound to lift")
-    out = BoundReport(n=deg * report.n, k_lower=None)
+    entries = []
     for e in report.entries:
         if e.name == "interpolating":
             rel = Fraction(e.value, report.n)
             rel_text = int_text(rel.numerator) + (
                 f"/{int_text(rel.denominator)}" if rel.denominator > 1 else "")
-            out.entries.append(BoundEntry(
+            entries.append(BoundEntry(
                 "interpolating", deg * e.value, True,
                 f"pullback along a degree-{deg} totally split cover; "
                 f"relative bound {rel_text} preserved"))
         elif e.name == "aubry":
-            out.entries.append(BoundEntry(
+            entries.append(BoundEntry(
                 "aubry", None, False,
                 "not liftable from base data: very ampleness of the pullback "
                 "must be asserted at every level"))
         elif e.name in ("hansen_S1", "hansen_S2"):
-            out.entries.append(BoundEntry(
+            entries.append(BoundEntry(
                 e.name, None, False,
                 "liftable with caller inputs: Seshadri constants/global "
                 "generation transport along unramified covers"))
         else:
-            out.entries.append(BoundEntry(e.name, None, False,
-                                          "not liftable from base data"))
-    return out
+            entries.append(BoundEntry(e.name, None, False, "not liftable from base data"))
+    return BoundReport(deg * report.n, None, entries)

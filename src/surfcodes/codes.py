@@ -32,12 +32,12 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf
 from . import surfaces as sf
-from .errors import BudgetExceeded, Precondition, int_text
+from .errors import BudgetExceeded, Precondition, int_text, ints_text
+from .records import Record
 
 DEFAULT_DISTANCE_BUDGET = 10_000_000
 MAX_POINTS = 10 ** 6
@@ -50,11 +50,9 @@ MAX_CODE_CELLS = 10 ** 7
 # Rational points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointList:
-    tag: str                       # "all" | "grid"
-    points: tuple[tuple[int, ...], ...]
-    grid: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+class PointList(Record):
+    __slots__ = ("tag", "points", "grid")          # tag "all" | "grid"
+    _defaults = {"grid": None}
 
 
 def _projective_points(elements, dim: int):
@@ -93,7 +91,7 @@ def grid_sides(surface: sf.SurfaceModel, q: int,
     a, b = tuple(a), tuple(b)
     for c in a + b:
         if not 0 <= c < q:
-            raise Precondition(f"grid entry {c} is not an element of F_{q}")
+            raise Precondition(f"grid entry {int_text(c)} is not an element of F_{q}")
     return a, b
 
 
@@ -129,9 +127,8 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
 # Monomial section bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    exponents: tuple[tuple[int, ...], ...]
+class MonomialBasis(Record):
+    __slots__ = ("exponents",)
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -155,7 +152,8 @@ def section_count(surface: sf.SurfaceModel, g: sf.DivisorClass) -> int:
     else:
         raise Precondition(f"{surface.kind} has no section basis (bounds only)")
     if not count:
-        raise Precondition(f"no sections for divisor {g.coords} on {surface.kind}")
+        raise Precondition(
+            f"no sections for divisor {ints_text(g.coords)} on {surface.kind}")
     return count
 
 
@@ -197,17 +195,10 @@ def _evaluation_rows(field: gf.FieldSpec, exponents, points) -> list[list[int]]:
 # Linear codes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LinearCode:
-    field: gf.FieldSpec
-    n: int
-    k: int
-    generator: tuple[tuple[int, ...], ...]   # k independent rows
-    section_count: int
-    surface: Optional[sf.SurfaceModel] = None
-    divisor: Optional[tuple[int, ...]] = None
-    tag: str = "all"
-    grid: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+class LinearCode(Record):
+    __slots__ = ("field", "n", "k", "generator",    # generator: k independent rows
+                 "section_count", "surface", "divisor", "tag", "grid")
+    _defaults = {"surface": None, "divisor": None, "tag": "all", "grid": None}
 
     def to_json_dict(self) -> dict:
         return {

@@ -53,8 +53,14 @@ def int_text(n: int, noun: str = "") -> str:
     """f"{n} {noun}" for a message, or "a D-digit number of {noun}" (D exact)
     when n has more digits than the interpreter prints."""
     limit, a = print_limit(), abs(n)
-    if not limit or a < 10 ** limit:
+    if not limit or a.bit_length() <= 3 * limit or a < 10 ** limit:    # 2^(3L) < 10^L
         return f"{n} {noun}".rstrip()
     d = int((a.bit_length() - 1) * 0.30102999566398) + 1    # off by at most one
     d += (a >= 10 ** d) - (a < 10 ** (d - 1))
     return f"a {d}-digit {'negative ' * (n < 0)}number{' of ' * bool(noun)}{noun}"
+
+
+def ints_text(t: tuple) -> str:
+    """str(t) for a tuple of ints, each entry through int_text."""
+    return f"({', '.join(map(int_text, t))}{',' * (len(t) == 1)})"
+

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .errors import InvariantError, Precondition
+from .errors import InvariantError, Precondition, int_text
 
 MAX_FIELD_SIZE = 65536
 MAX_TABLE_ORDER = 4096
@@ -81,11 +81,11 @@ class FieldSpec:
 
     def __init__(self, p: int, m: int):
         if m < 1:
-            raise Precondition(f"exponent m must be >= 1, got {m}")
+            raise Precondition(f"exponent m must be >= 1, got {int_text(m)}")
         # reject oversized input before the trial-division primality test
         # (and before computing p ** m for a huge m); p >= 2, m > 16 gives q > 2^16
         if p > MAX_FIELD_SIZE or (p >= 2 and m > 16):
-            raise Precondition(f"q = {p}^{m} exceeds {MAX_FIELD_SIZE}")
+            raise Precondition(f"q = {int_text(p)}^{int_text(m)} exceeds {MAX_FIELD_SIZE}")
         if prime_factors(p) != [p]:
             raise Precondition(f"{p} is not prime")
         q = p ** m
@@ -260,9 +260,9 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
 def field_from_order(q: int) -> FieldSpec:
     """F_q from its order; q must be a prime power <= 2^16."""
     if q < 2:
-        raise Precondition(f"{q} is not a prime power")
+        raise Precondition(f"{int_text(q)} is not a prime power")
     if q > MAX_FIELD_SIZE:
-        raise Precondition(f"q = {q} exceeds {MAX_FIELD_SIZE}")
+        raise Precondition(f"q = {int_text(q)} exceeds {MAX_FIELD_SIZE}")
     factors = prime_factors(q)
     if len(factors) != 1:
         raise Precondition(f"{q} is not a prime power")

@@ -16,10 +16,8 @@ bound computations only, not code construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .errors import InvariantError, Precondition, int_text
+from .errors import InvariantError, Precondition, int_text, ints_text
+from .records import Record
 
 P2 = "P2"
 P1XP1 = "P1xP1"
@@ -27,14 +25,8 @@ HIRZEBRUCH = "Hirzebruch"
 CURVE_PRODUCT = "CurveProduct"
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    kind: str
-    params: tuple
-    gram: tuple[tuple[int, ...], ...]
-    canonical_coords: tuple[int, ...]
-    chi_o: int
-    chi_et: int
+class SurfaceModel(Record):
+    __slots__ = ("kind", "params", "gram", "canonical_coords", "chi_o", "chi_et")
 
     @property
     def ns_rank(self) -> int:
@@ -63,12 +55,10 @@ class SurfaceModel:
         return f"SurfaceModel({self.kind})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    surface: SurfaceModel
-    coords: tuple[int, ...]
+class DivisorClass(Record):
+    __slots__ = ("surface", "coords")
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.coords) != self.surface.ns_rank:
             raise Precondition(
                 f"divisor needs {self.surface.ns_rank} coordinates, got {len(self.coords)}")
@@ -110,7 +100,7 @@ def quadric_p1xp1() -> SurfaceModel:
 
 def hirzebruch(e: int) -> SurfaceModel:
     if e < 0:
-        raise Precondition(f"Hirzebruch parameter e must be >= 0, got {e}")
+        raise Precondition(f"Hirzebruch parameter e must be >= 0, got {int_text(e)}")
     return SurfaceModel(HIRZEBRUCH, (e,), ((0, 1), (1, -e)), (-(e + 2), -2), 1, 4)
 
 
@@ -146,12 +136,9 @@ def intersect(d: DivisorClass, e: DivisorClass) -> int:
                for i in range(len(g)) for j in range(len(g)))
 
 
-@dataclass(frozen=True)
-class AmpleFlags:
+class AmpleFlags(Record):
     """very_ample is None when the catalog provides no criterion (CurveProduct)."""
-    ample: bool
-    very_ample: Optional[bool]
-    base_point_free: bool
+    __slots__ = ("ample", "very_ample", "base_point_free")
 
 
 def ampleness_flags(surface: SurfaceModel, d: DivisorClass) -> AmpleFlags:
@@ -194,7 +181,7 @@ def riemann_roch_lower(surface: SurfaceModel, g: DivisorClass,
     with G.H > K.H certifies the vanishing of h^2."""
     flags = ampleness_flags(surface, h)
     if not flags.ample:
-        raise Precondition(f"H = {h.coords} is not ample")
+        raise Precondition(f"H = {ints_text(h.coords)} is not ample")
     k = surface.canonical
     if intersect(g, h) <= intersect(k, h):
         raise Precondition(f"G.H = {int_text(intersect(g, h))} must exceed "

@@ -23,11 +23,11 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import gf
 from .errors import BudgetExceeded, InvariantError, Precondition, int_text
+from .records import Record
 
 SEARCH_CANDIDATE_BUDGET = 1_000_000
 
@@ -36,13 +36,11 @@ SEARCH_CANDIDATE_BUDGET = 1_000_000
 # Hyperelliptic curves and point counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
+class HyperellipticCurve(Record):
     """y^2 = f(t) over an odd-order field; f over it, squarefree, of even degree >= 6."""
-    field: gf.FieldSpec
-    f: gf.Polynomial
+    __slots__ = ("field", "f")
 
-    def __post_init__(self):
+    def _check(self):
         if self.f.field != self.field:
             raise Precondition(f"f is a polynomial over F_{self.f.field.q}, "
                                f"not over F_{self.field.q}")
@@ -143,13 +141,12 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
 # Frobenius on Jacobian 2-torsion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrobeniusModule:
+class FrobeniusModule(Record):
     """Frobenius on Jac[2], given by its cycle type on the 2g + 2 roots of
     the branch polynomial; the invariant dimensions below read nothing else."""
-    cycles: tuple[int, ...]
+    __slots__ = ("cycles",)
 
-    def __post_init__(self):
+    def _check(self):
         n = sum(self.cycles)
         if n % 2 or n < 4 or min(self.cycles) < 1:
             raise Precondition("cycle lengths must be positive and sum to an "
@@ -291,24 +288,9 @@ def marked_invariants(h2g_bar: int, t: int) -> dict:
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TowerCertificate:
-    q: int
-    g1: int
-    g2: int
-    rho: int
-    f: gf.Polynomial
-    g: gf.Polynomial
-    count_c: int
-    count_d: int
-    h1g: int
-    h2g: int
-    rt_upper: int
-    t_size: int
-    gs_lhs_squared: int
-    gs_rhs: int
-    conditions: dict            # {"points_C","points_D","gs"} -> bool
-    gs_pass: bool
+class TowerCertificate(Record):
+    __slots__ = ("q", "g1", "g2", "rho", "f", "g", "count_c", "count_d", "h1g", "h2g",
+                 "rt_upper", "t_size", "gs_lhs_squared", "gs_rhs", "conditions", "gs_pass")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,11 +1,16 @@
 import pytest
 
+from surfcodes import asymptotic as asy
+from surfcodes import bounds as bd
 from surfcodes import codes as cd
 from surfcodes import gf
 from surfcodes import surfaces as sf
 from surfcodes import towers as tw
 from surfcodes.errors import (BudgetExceeded, Precondition, check_printable,
-                              int_text, print_limit)
+                              int_text, ints_text, print_limit)
+
+B = 10 ** 4999                      # 5000 digits, past the 4300-digit print limit
+P2 = sf.projective_plane()
 
 
 def test_print_limit_is_the_interpreters():
@@ -47,9 +52,51 @@ def test_check_printable_is_exact():
                                    sf.projective_plane().divisor(-10 ** 4400),
                                    sf.projective_plane().divisor(1)), Precondition,
      "G.H = a 4401-digit negative number must exceed K.H = -3"),
-], ids=["enumeration", "locus_points", "factor_count", "linear_factors", "riemann_roch"])
+    (lambda: sf.riemann_roch_lower(P2, P2.divisor(1), P2.divisor(-B)), Precondition,
+     "H = (a 5000-digit negative number,) is not ample"),
+    (lambda: sf.hirzebruch(-B), Precondition,
+     "Hirzebruch parameter e must be >= 0, got a 5000-digit negative number"),
+    (lambda: asy.phi_g(2, B, asy.asym_point(0, 0)), Precondition,
+     "need 2 <= g <= q, got g = a 5000-digit number, q = 2"),
+    (lambda: asy.polygon_image(-B, 2), Precondition,
+     "need 2 <= g <= q, got g = 2, q = a 5000-digit negative number"),
+    (lambda: gf.field_from_order(-B), Precondition,
+     "a 5000-digit negative number is not a prime power"),
+    (lambda: gf.field_from_order(B), Precondition, "q = a 5000-digit number exceeds 65536"),
+    (lambda: gf.make_field(2, -B), Precondition,
+     "exponent m must be >= 1, got a 5000-digit negative number"),
+    (lambda: gf.make_field(B), Precondition, "q = a 5000-digit number^1 exceeds 65536"),
+    (lambda: cd.section_count(P2, P2.divisor(-B)), Precondition,
+     "no sections for divisor (a 5000-digit negative number,) on P2"),
+    (lambda: cd.grid_sides(sf.quadric_p1xp1(), 3, ((B,), (0,))), Precondition,
+     "grid entry a 5000-digit number is not an element of F_3"),
+    (lambda: bd.aubry_bound(1, 2, P2.divisor(-B)), Precondition,
+     "D = (a 5000-digit negative number,) is not very ample"),
+    # bounds reasons, returned in the report rather than raised
+    (lambda: bd.parameter_report(sf.hirzebruch(B), sf.hirzebruch(B).divisor(1, 1), 3)
+     .entry("interpolating").reason, None,
+     "Gamma = (q+1)L with L = (a 5000-digit number, 1); Gamma.G = 8; "
+     "Gamma^2 = a 5001-digit number >= n is True"),
+    (lambda: bd.parameter_report(P2, P2.divisor(B), 2).entry("aubry").reason, None,
+     "G = (a 5000-digit number,) is very ample"),
+    (lambda: bd.parameter_report(sf.hirzebruch(B), sf.hirzebruch(B).divisor(1, 1), 3,
+                                 tag="grid", grid=((0,), (0,))).entry("grid").reason,
+     None, "affine 1x1 grid on Hirzebruch(a 5000-digit number)"),
+], ids=["enumeration", "locus_points", "factor_count", "linear_factors", "riemann_roch",
+        "riemann_roch_h", "hirzebruch", "phi_g", "polygon_image", "field_order",
+        "field_order_big", "field_exponent", "field_prime", "section_count", "grid_entry",
+        "aubry", "report_l", "report_g", "report_grid"])
 def test_library_messages_name_long_integers_by_digits(call, exc, message):
     # a message that embeds a computed integer never fails to print
+    if exc is None:
+        assert call() == message
+        return
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("t", [(), (0,), (-3,), (1, 2), (5, -6, 7)])
+def test_ints_text_reads_as_the_tuple(t):
+    # short coordinates print byte-identical to the tuple they came from
+    assert ints_text(t) == str(t)

@@ -78,8 +78,9 @@ def test_no_builtin_raise_in_library():
 
 
 # prints, after the statement given as argv[1] has run, the surfcodes
-# submodules loaded, whether numpy is, and the exit code of
-# cli.main(argv[2:]) when arguments follow (its own output is swallowed)
+# submodules loaded, whether numpy is, which of dataclasses and inspect are,
+# and the exit code of cli.main(argv[2:]) when arguments follow (its own
+# output is swallowed)
 _LOADED = """
 import contextlib, io, json, sys
 exec(sys.argv[1])
@@ -89,6 +90,7 @@ if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[2:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "introspection": [m for m in ("dataclasses", "inspect") if m in sys.modules],
                   "loaded": sorted(m[len("surfcodes."):] for m in sys.modules
                                    if m.startswith("surfcodes."))}))
 """
@@ -109,7 +111,8 @@ def test_package_import_loads_only_errors():
     statement = ("import surfcodes\n"
                  "assert set(surfcodes.__all__) <= set(dir(surfcodes))\n"
                  "assert not hasattr(surfcodes, 'f2')")
-    assert _loaded(statement) == {"code": None, "numpy": False, "loaded": ["errors"]}
+    assert _loaded(statement) == {"code": None, "numpy": False, "introspection": [],
+                                  "loaded": ["errors"]}
 
 
 def test_lazy_names_resolve_to_their_modules():
@@ -122,7 +125,15 @@ def test_cli_import_leaves_numpy_unloaded():
     # other verb starts without paying for its import, and the CLI module
     # loads no library module before a verb runs
     assert _loaded("import surfcodes.cli") == {"code": None, "numpy": False,
+                                               "introspection": [],
                                                "loaded": ["cli", "errors"]}
+
+
+def test_field_import_loads_no_records():
+    # gf holds no records, so importing it (as the benchmark's set-up probe
+    # does) compiles neither records nor a module gf does not use
+    assert _loaded("from surfcodes import gf") == {
+        "code": None, "numpy": False, "introspection": [], "loaded": ["errors", "gf"]}
 
 
 _TOWER = ("--q", "67", "--g1", "30", "--g2", "30", "--rho", "1")
@@ -139,14 +150,24 @@ _TOWER = ("--q", "67", "--g1", "30", "--g2", "30", "--rho", "1")
      ["codes", "gf", "surfaces"]),
     (("bounds", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1"),
      ["bounds", "codes", "gf", "surfaces"]),
+    (("code", "distance", "--in", "code.json"), ["codes", "gf", "surfaces"]),
+    (("bounds", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1", "--exact"),
+     ["bounds", "codes", "gf", "surfaces"]),
 ], ids=["asym_map", "asym_polygon", "asym_diagram", "tower_check", "tower_search",
-        "code_build", "bounds"])
+        "code_build", "bounds", "code_distance", "bounds_exact"])
 def test_verb_loads_only_its_modules(tmp_path, argv, loaded):
     # each verb imports the library modules it runs when it runs: the asym
     # verbs no field arithmetic, codes or towers; the tower verbs no codes or
-    # bounds; code build no towers, asymptotic or numpy
+    # bounds; code build no towers, asymptotic or numpy.  No verb loads
+    # dataclasses, and one that leaves numpy unloaded loads no inspect
+    # either (numpy imports inspect itself)
+    quadric = surfcodes.surfaces.quadric_p1xp1()
+    code = surfcodes.codes.build_code(quadric, quadric.divisor(1, 1), 3)
+    (tmp_path / "code.json").write_text(json.dumps(code.to_json_dict()))
+    numpy = "distance" in argv or "--exact" in argv
     assert _loaded("pass", *argv, cwd=tmp_path) == {
-        "code": 0, "numpy": False, "loaded": sorted(["cli", "errors", *loaded])}
+        "code": 0, "numpy": numpy, "introspection": ["inspect"] if numpy else [],
+        "loaded": sorted(["cli", "errors", "records", *loaded])}
 
 
 def test_trace_targets_resolve():
