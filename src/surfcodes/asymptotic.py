@@ -165,9 +165,10 @@ def emit_diagram(q: int, g: int, grid_n: int, path: str,
     2..q, a row integer too long to print or a CSV and SVG path naming the
     same file raise Precondition."""
     if grid_n < 2:
-        raise Precondition(f"grid_n must be >= 2, got {grid_n}")
+        raise Precondition(f"grid_n must be >= 2, got {int_text(grid_n)}")
     if grid_n * grid_n > MAX_DIAGRAM_SAMPLES:
-        raise BudgetExceeded(f"{grid_n}^2 diagram samples exceed {MAX_DIAGRAM_SAMPLES}")
+        raise BudgetExceeded(f"{int_text(grid_n)}^2 diagram samples exceed "
+                             f"{MAX_DIAGRAM_SAMPLES}")
     poly = polygon_image(q, g)          # checks 2 <= g <= q before dividing by g
     # the longest integers the rows print: chi = 1/(g(q+1)(grid_n-1)) at
     # j = 1 and D1's chi = 1/(2(q+1)^2); every other part is smaller

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import codes as cd
 from . import surfaces as sf
-from .errors import BudgetExceeded, Precondition, int_text, ints_text
+from .errors import BudgetExceeded, Precondition, int_text, ints_text, ratio_text
 from .records import Record
 
 
@@ -78,7 +78,8 @@ def hansen_curve_bound_uniform(n: int, l_contained: int, point_cap: int,
     if eta < 0:
         raise Precondition("eta must be >= 0")
     if eta > point_cap:
-        raise Precondition(f"eta = {eta} exceeds the point cap {point_cap}")
+        raise Precondition(f"eta = {int_text(eta)} exceeds the point cap "
+                           f"{int_text(point_cap)}")
     return n - l_contained * point_cap - (num_curves - l_contained) * eta
 
 
@@ -93,10 +94,10 @@ def hansen_seshadri_bound(n: int, l_sq: int, *,
     if epsilon is not None:
         eps = Fraction(epsilon)
         if eps <= 0:
-            raise Precondition(f"epsilon must be positive, got {epsilon}")
+            raise Precondition(f"epsilon must be positive, got {ratio_text(epsilon)}")
         return floor(n - Fraction(l_sq) / eps)
     if xi < 1:
-        raise Precondition(f"xi must be >= 1, got {xi}")
+        raise Precondition(f"xi must be >= 1, got {int_text(xi)}")
     return n - xi * l_sq
 
 
@@ -165,12 +166,8 @@ class BoundReport(Record):
 def _default_very_ample(surface: sf.SurfaceModel) -> Optional[sf.DivisorClass]:
     if surface.kind == sf.P2:
         return surface.divisor(1)
-    if surface.kind == sf.P1XP1:
-        return surface.divisor(1, 1)
-    if surface.kind == sf.HIRZEBRUCH:
-        (e,) = surface.params
-        return surface.divisor(e + 1, 1)
-    return None
+    e = sf.hirzebruch_e(surface)
+    return None if e is None else surface.divisor(e + 1, 1)
 
 
 def _find_ample_h(surface: sf.SurfaceModel,
@@ -241,8 +238,8 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
     l_sq = sf.intersect(g, g)
     for name, data, reason in (
             ("hansen_S1", {"epsilon": epsilon},
-             f"caller-supplied Seshadri lower bound epsilon = {epsilon}"),
-            ("hansen_S2", {"xi": xi}, f"caller-supplied xi = {xi}")):
+             f"caller-supplied Seshadri lower bound epsilon = {ratio_text(epsilon)}"),
+            ("hansen_S2", {"xi": xi}, f"caller-supplied xi = {ratio_text(xi)}")):
         if None in data.values():
             continue
         try:
@@ -252,18 +249,12 @@ def parameter_report(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int, *,
             entries.append(BoundEntry(name, None, False, str(exc)))
 
     # grid-specific bound
-    if tag == "grid":
-        if surface.kind == sf.HIRZEBRUCH:
-            (e,) = surface.params
-            u, v = g.coords
-            entries.append(BoundEntry(
-                "grid", hirzebruch_grid_bound(a_sz, b_sz, e, u, v), True,
-                f"affine {a_sz}x{b_sz} grid on Hirzebruch({int_text(e)})"))
-        elif surface.kind == sf.P1XP1:
-            a, b = g.coords
-            entries.append(BoundEntry(
-                "grid", product_grid_bound(n, a_sz, b_sz, a, b), True,
-                f"{a_sz}x{b_sz} grid on the quadric"))
+    if tag == "grid":                 # grid_sides admits F_e and the quadric only
+        e = sf.hirzebruch_e(surface)
+        entries.append(BoundEntry(
+            "grid", hirzebruch_grid_bound(a_sz, b_sz, e, *g.coords), True,
+            f"affine {a_sz}x{b_sz} grid on Hirzebruch({int_text(e)})"
+            if surface.kind == sf.HIRZEBRUCH else f"{a_sz}x{b_sz} grid on the quadric"))
 
     # dimension lower bound: needs injectivity (n > Gamma.G) and an ample H
     if l is not None and n > gdotg:
@@ -289,20 +280,17 @@ def lifted_bound(report: BoundReport, deg: int) -> BoundReport:
     interpolating value scales by deg and the relative bound is unchanged.
     The other entries do not transport from base data alone."""
     if deg < 1:
-        raise Precondition(f"degree must be >= 1, got {deg}")
+        raise Precondition(f"degree must be >= 1, got {int_text(deg)}")
     inter = report.entry("interpolating")
     if inter is None or not inter.applicable:
         raise Precondition("report carries no applicable interpolating bound to lift")
     entries = []
     for e in report.entries:
         if e.name == "interpolating":
-            rel = Fraction(e.value, report.n)
-            rel_text = int_text(rel.numerator) + (
-                f"/{int_text(rel.denominator)}" if rel.denominator > 1 else "")
             entries.append(BoundEntry(
                 "interpolating", deg * e.value, True,
-                f"pullback along a degree-{deg} totally split cover; "
-                f"relative bound {rel_text} preserved"))
+                f"pullback along a degree-{int_text(deg)} totally split cover; "
+                f"relative bound {ratio_text(Fraction(e.value, report.n))} preserved"))
         elif e.name == "aubry":
             entries.append(BoundEntry(
                 "aubry", None, False,

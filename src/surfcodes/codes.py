@@ -21,9 +21,9 @@ x1 by lambda^e), then the x-pair (fixing mu).  Evaluating at a different
 representative rescales a whole generator column, which changes no code
 parameter; canonicalization just makes outputs bit-exact.
 
-Grid evaluation sets live in the affine chart t1 = x1 = 1 (s0-coordinate
-chart for each P^1 factor of the quadric) and are stored as coordinate pairs;
-a pair (t, x) is evaluated as the point (t, 1, x, 1) like any other point.
+Grid evaluation sets live in the affine chart t1 = x1 = 1 of F_e (the
+quadric at e = 0) and are stored as coordinate pairs; a pair (t, x) is
+evaluated as the point (t, 1, x, 1) like any other point.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ class PointList(Record):
 
 def _projective_points(elements, dim: int):
     """Canonical representatives of P^dim over the given field elements, one
-    at a time: the first nonzero coordinate is 1."""
-    for lead in range(dim + 1):
+    at a time: the first nonzero coordinate is 1.  A later leading 1 sorts
+    first, so ascending elements give ascending points."""
+    for lead in range(dim, -1, -1):
         prefix = (0,) * lead + (1,)
         for tail in itertools.product(elements, repeat=dim - lead):
             yield prefix + tail
@@ -78,7 +79,7 @@ def grid_sides(surface: sf.SurfaceModel, q: int,
     surfaces, more than MAX_POINTS points (BudgetExceeded, counted before the
     field is built or a default side listed), q not a prime power, an entry
     outside F_q."""
-    if surface.kind not in (sf.P1XP1, sf.HIRZEBRUCH):
+    if sf.hirzebruch_e(surface) is None:
         raise Precondition(f"grid points are not defined on {surface.kind}")
     if grid is None:
         grid = (range(q), range(q))
@@ -119,7 +120,6 @@ def rational_points(surface: sf.SurfaceModel, q: int, tag: str = "all",
     else:
         reps = list(_projective_points(field.elements(), 1))
         pts = [a + b for a in reps for b in reps]
-    pts.sort()
     return PointList("all", tuple(pts))
 
 
@@ -137,14 +137,11 @@ class MonomialBasis(Record):
 def section_count(surface: sf.SurfaceModel, g: sf.DivisorClass) -> int:
     """len(section_basis(surface, g)) in closed form, raising the same errors
     without listing a monomial."""
+    e = sf.hirzebruch_e(surface)
     if surface.kind == sf.P2:
         (d,) = g.coords
         count = (d + 1) * (d + 2) // 2 if d >= 0 else 0
-    elif surface.kind == sf.P1XP1:
-        a, b = g.coords
-        count = (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
-    elif surface.kind == sf.HIRZEBRUCH:
-        (e,) = surface.params
+    elif e is not None:
         u, v = g.coords
         # de = 0..m, the de with u - e*de >= 0, each give u - e*de + 1
         m = min(v, u // e) if e else v
@@ -162,18 +159,14 @@ def section_basis(surface: sf.SurfaceModel, g: sf.DivisorClass) -> MonomialBasis
     order.
 
     P2, degree d:        (i, j, k), i + j + k = d
-    P1xP1, (a, b):       (i0, i1, j0, j1), i0 + i1 = a, j0 + j1 = b
     Hirzebruch(e),(u,v): (al, be, ga, de), ga + de = v, al + be = u - e*de >= 0
     """
     section_count(surface, g)       # an unsupported surface or no sections raise
     if surface.kind == sf.P2:
         (d,) = g.coords
         exps = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
-    elif surface.kind == sf.P1XP1:
-        a, b = g.coords
-        exps = [(i, a - i, j, b - j) for i in range(a + 1) for j in range(b + 1)]
     else:
-        (e,) = surface.params
+        e = sf.hirzebruch_e(surface)
         u, v = g.coords
         exps = [(al, u - e * de - al, v - de, de)
                 for de in range(v + 1) for al in range(u - e * de + 1)]
@@ -341,8 +334,7 @@ def build_code(surface: sf.SurfaceModel, g: sf.DivisorClass, q: int,
                              f"points exceed {MAX_CODE_CELLS} generator entries")
     basis = section_basis(surface, g)
     field = gf.field_from_order(q)
-    # A grid pair (t, x) is the chart point (t, 1, x, 1): chart t1 = x1 = 1 on
-    # Hirzebruch, s1 = t1 = 1 on the quadric.
+    # a grid pair (t, x) is the chart point (t, 1, x, 1)
     points = ([(t, 1, x, 1) for t, x in pts.points] if pts.tag == "grid"
               else pts.points)
     rows = _evaluation_rows(field, basis.exponents, points)
@@ -465,13 +457,15 @@ def _locus_survivors(ell: int, q: int, m: int, budget: int
     """Survivor set of the Frobenius-difference forms in P^ell(F_{q^m}) and
     the embedded P^ell(F_q), both as canonical-representative sets."""
     field = gf.field_from_order(q)
-    if q ** m > gf.MAX_FIELD_SIZE:
-        raise Precondition(f"{q}^{m} exceeds {gf.MAX_FIELD_SIZE}")
+    if m >= gf.MAX_FIELD_SIZE.bit_length() or q ** m > gf.MAX_FIELD_SIZE:  # 2^m <= q^m
+        raise Precondition(f"{q}^{int_text(m)} exceeds {gf.MAX_FIELD_SIZE}")
     ext, emb = gf.extension_field(field, m)
-    npoints = (ext.q ** (ell + 1) - 1) // (ext.q - 1)
-    if npoints > budget:
-        raise BudgetExceeded(f"P^{ell}(F_{ext.q}) has {int_text(npoints, 'points')}, "
-                             f"budget is {budget}")
+    # P^ell has at least Q^ell >= 2^(ell * (bits(Q) - 1)) points, so that
+    # exponent decides a long ell before any power is formed
+    if (ell * (ext.q.bit_length() - 1) >= budget.bit_length()
+            or (ext.q ** (ell + 1) - 1) // (ext.q - 1) > budget):
+        raise BudgetExceeded(f"P^{int_text(ell)}(F_{ext.q}) has more points than "
+                             f"the budget of {int_text(budget)}")
     subfield = set(emb)
     survivors = {pt for pt in _projective_points(ext.elements(), ell)
                  if all(ext.mul(ext.pow(pt[i], q), pt[j])

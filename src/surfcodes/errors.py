@@ -42,18 +42,25 @@ def print_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
+def _prints(a: int) -> bool:
+    """Whether the interpreter prints the int a >= 0; 10^L is formed only
+    past 3L bits, since 2^(3L) < 10^L."""
+    limit = print_limit()
+    return not limit or a.bit_length() <= 3 * limit or a < 10 ** limit
+
+
 def check_printable(what: str, *ints: int) -> None:
     """Refuse, as a Precondition, integers the interpreter would not print."""
-    limit = print_limit()
-    if limit and max(map(abs, ints)) >= 10 ** limit:
-        raise Precondition(f"{what} would print an integer of more than {limit} digits")
+    if not _prints(max(map(abs, ints))):
+        raise Precondition(f"{what} would print an integer of more than "
+                           f"{print_limit()} digits")
 
 
 def int_text(n: int, noun: str = "") -> str:
     """f"{n} {noun}" for a message, or "a D-digit number of {noun}" (D exact)
     when n has more digits than the interpreter prints."""
-    limit, a = print_limit(), abs(n)
-    if not limit or a.bit_length() <= 3 * limit or a < 10 ** limit:    # 2^(3L) < 10^L
+    a = abs(n)
+    if _prints(a):
         return f"{n} {noun}".rstrip()
     d = int((a.bit_length() - 1) * 0.30102999566398) + 1    # off by at most one
     d += (a >= 10 ** d) - (a < 10 ** (d - 1))
@@ -63,4 +70,13 @@ def int_text(n: int, noun: str = "") -> str:
 def ints_text(t: tuple) -> str:
     """str(t) for a tuple of ints, each entry through int_text."""
     return f"({', '.join(map(int_text, t))}{',' * (len(t) == 1)})"
+
+
+def ratio_text(x) -> str:
+    """str(x) for an int or a Fraction, its numerator and denominator each
+    through int_text; str(x) for anything else."""
+    den = getattr(x, "denominator", None)
+    if not isinstance(den, int):
+        return str(x)
+    return int_text(x.numerator) + (f"/{int_text(den)}" if den != 1 else "")
 

@@ -10,8 +10,9 @@ scheme:
 * ``Hirzebruch(e)`` basis (F, S),   gram [[0,1],[1,-e]],   K = -(e+2)F - 2S
 * ``CurveProduct``  basis (FC, FD), gram [[0,1],[1,0]],    K = (2gD-2)FC + (2gC-2)FD
 
-A ``CurveProduct`` carries caller-supplied point counts N_C, N_D; it supports
-bound computations only, not code construction.
+The quadric is F_0 with H = F and V = S, so the F_e formulas serve it at
+e = 0 (hirzebruch_e).  A ``CurveProduct`` carries caller-supplied point
+counts N_C, N_D; it supports bound computations only, not code construction.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ def hirzebruch(e: int) -> SurfaceModel:
     return SurfaceModel(HIRZEBRUCH, (e,), ((0, 1), (1, -e)), (-(e + 2), -2), 1, 4)
 
 
+def hirzebruch_e(surface: SurfaceModel) -> int | None:
+    """e of the surface as F_e: 0 on the quadric, None if it is no F_e."""
+    if surface.kind == HIRZEBRUCH:
+        return surface.params[0]
+    return 0 if surface.kind == P1XP1 else None
+
+
 def curve_product(g_c: int, g_d: int, n_c: int, n_d: int) -> SurfaceModel:
     if g_c < 0 or g_d < 0:
         raise Precondition("genera must be >= 0")
@@ -156,12 +164,8 @@ def ampleness_flags(surface: SurfaceModel, d: DivisorClass) -> AmpleFlags:
         (deg,) = d.coords
         va = deg >= 1
         return AmpleFlags(va, va, deg >= 0)
-    if surface.kind == P1XP1:
-        a, b = d.coords
-        va = a >= 1 and b >= 1
-        return AmpleFlags(va, va, a >= 0 and b >= 0)
-    if surface.kind == HIRZEBRUCH:
-        (e,) = surface.params
+    e = hirzebruch_e(surface)
+    if e is not None:
         u, v = d.coords
         va = v >= 1 and u >= e * v + 1
         bpf = v >= 0 and u >= e * v
@@ -195,7 +199,7 @@ def riemann_roch_lower(surface: SurfaceModel, g: DivisorClass,
 def point_count(surface: SurfaceModel, q: int) -> int:
     if surface.kind == P2:
         return q * q + q + 1
-    if surface.kind in (P1XP1, HIRZEBRUCH):
+    if hirzebruch_e(surface) is not None:
         return (q + 1) ** 2
     if surface.kind == CURVE_PRODUCT:
         _, _, n_c, n_d = surface.params

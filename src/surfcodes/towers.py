@@ -30,6 +30,7 @@ from .errors import BudgetExceeded, InvariantError, Precondition, int_text
 from .records import Record
 
 SEARCH_CANDIDATE_BUDGET = 1_000_000
+POINT_COUNT_BUDGET = 10 ** 7        # Horner steps, q * deg f, about 1 s per curve
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +95,21 @@ def _shifted(flags: bytes, t: int, p: int) -> bytes:
     return b"".join(blocks[(k - top) % p] for k in range(p))
 
 
+def _check_point_count_budget(q: int, degree: int) -> None:
+    """Refuse a curve y^2 = f(t), deg f = degree, whose point count would
+    take more than POINT_COUNT_BUDGET Horner steps (q evaluations of f)."""
+    if q * degree > POINT_COUNT_BUDGET:
+        raise BudgetExceeded(f"a point count at degree {int_text(degree)} over F_{q} takes "
+                             f"{int_text(q * degree, 'Horner steps')}, budget is "
+                             f"{POINT_COUNT_BUDGET}")
+
+
 def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomial:
     """Monic product of `count` distinct linear ("linear") or irreducible
     quadratic ("quadratic") factors over odd F_q, chosen by sampling from a
-    Random seeded with `seed`, so equal arguments give equal polynomials."""
+    Random seeded with `seed`, so equal arguments give equal polynomials.  A
+    product whose curve's point count is over budget is refused before any
+    sampling (_check_point_count_budget)."""
     field = gf.field_from_order(q)
     if field.q % 2 == 0:
         raise Precondition("branch polynomials need odd q")
@@ -107,6 +119,7 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
     if kind == "linear":
         if count > q:
             raise Precondition(f"only {q} linear factors exist, need {int_text(count)}")
+        _check_point_count_budget(q, count)
         roots = sorted(rng.sample(range(q), count))
         poly = gf.Polynomial.from_roots(field, roots)
     elif kind == "quadratic":
@@ -116,6 +129,7 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
             raise Precondition(
                 f"only {available} monic irreducible quadratics exist, "
                 f"need {int_text(count)}")
+        _check_point_count_budget(q, 2 * count)
         # t^2 + b t + c = (t + b/2)^2 + c - b^2/4 is irreducible over odd F_q
         # iff -(c - b^2/4) is a nonsquare, so the c that suit b are those
         # that suit 0, shifted by b^2/4: each b has (q - 1)/2 of them.  Index
@@ -265,7 +279,7 @@ def r_t_upper(rho: int) -> int:
     """Upper bound 3 rho + 1 for the rank r_T of the 4 rho marked points in
     the degree-zero-cycle group mod 2."""
     if rho < 1:
-        raise Precondition(f"rho must be >= 1, got {rho}")
+        raise Precondition(f"rho must be >= 1, got {int_text(rho)}")
     return 3 * rho + 1
 
 
@@ -372,7 +386,7 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
     Hypothesis failures set condition flags rather than raising.
     """
     if rho < 1:
-        raise Precondition(f"rho must be >= 1, got {rho}")
+        raise Precondition(f"rho must be >= 1, got {int_text(rho)}")
     f = sample_branch_poly(q, 2 * g1 + 2, "linear", seed)
     g = sample_branch_poly(q, g2 + 1, "quadratic", seed)
     side_c, side_d = _side(f), _side(g)

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from oracles import box_ample_h
+from surfcodes import codes as cd
 from surfcodes import surfaces as sf
 from surfcodes.bounds import (_find_ample_h, aubry_bound, gamma_square_check,
                               hansen_curve_bound, hansen_curve_bound_uniform,
@@ -270,6 +271,34 @@ def test_ample_scan_matches_box_scan():
             assert _find_ample_h(s, g) == box_ample_h(s, g), (s, coords)
             checked += 1
     assert checked == 4400
+
+
+def test_quadric_agrees_with_hirzebruch_zero():
+    # P1xP1 is F_0 with H = F and V = S: the quadric's (a, b) read as F_0's
+    # (u, v) gives the same sections, flags, points and bound values
+    quad, f0 = sf.quadric_p1xp1(), sf.hirzebruch(0)
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except Precondition:            # an empty system, named by its kind
+            return Precondition
+
+    for coords in itertools.product(range(-2, 4), repeat=2):
+        d, d0 = quad.divisor(*coords), f0.divisor(*coords)
+        assert (sf.ampleness_flags(quad, d) == sf.ampleness_flags(f0, d0)), coords
+        assert outcome(cd.section_count, quad, d) == outcome(cd.section_count, f0, d0)
+        assert outcome(cd.section_basis, quad, d) == outcome(cd.section_basis, f0, d0)
+    for q in (2, 3, 4, 5):
+        assert cd.rational_points(quad, q) == cd.rational_points(f0, q)
+        for coords in itertools.product(range(-1, 3), repeat=2):
+            for tag, grid in (("all", None), ("grid", None), ("grid", ((0, q - 1), (1,)))):
+                reports = [parameter_report(s, s.divisor(*coords), q, tag=tag, grid=grid,
+                                            epsilon=Fraction(1, 2), xi=2)
+                           for s in (quad, f0)]
+                assert len({(r.n, r.k_lower, tuple((e.name, e.value, e.applicable)
+                                                   for e in r.entries))
+                            for r in reports}) == 1, (q, coords, tag, grid)
 
 
 class TestLiftedBound:

@@ -450,6 +450,17 @@ ERROR_TABLE = [
     ("towers_long_rho", ("tower", "check", "--q", "67", "--g1", "30", "--g2", "30",
                          "--rho", _B),
      2, "precondition", _LONG_RESULT),
+    # added later: a point count past 10^7 Horner steps is refused before its
+    # branch polynomial is sampled (the first ran 11.6 s into a MemoryError,
+    # kind "internal", exit 1; the second gave an answer after about 1 s)
+    ("towers_point_count_budget", ("tower", "check", "--q", "65521", "--g1", "2",
+                                   "--g2", "100000000", "--rho", "1"),
+     3, "budget", "a point count at degree 200000002 over F_65521 takes 13104200131042 "
+                  "Horner steps, budget is 10000000"),
+    ("towers_search_point_count_budget", ("tower", "search", "--q", "65521", "--g1", "76",
+                                          "--g2", "2", "--rho", "1"),
+     3, "budget", "a point count at degree 154 over F_65521 takes 10090234 Horner steps, "
+                  "budget is 10000000"),
 ]
 
 

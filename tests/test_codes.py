@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -521,3 +522,16 @@ class TestRationalLocus:
     def test_field_too_large(self):
         with pytest.raises(Precondition, match=r"^257\^3 exceeds 65536$"):
             rational_locus_check(1, 257, 3)
+
+    def test_long_ell_refused_before_the_power(self):
+        # the bit length of q^m decides a long ell: P^(10^4999) is refused
+        # at once instead of forming 2^(10^4999)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=r"^P\^a 5000-digit number\(F_2\) has more"):
+            rational_locus_check(10 ** 4999, 2, 1)
+        assert time.perf_counter() - start < 1
+        # the boundary stays exact: P^2(F_4) has 21 points
+        assert rational_locus_check(2, 2, 2, budget=21)
+        with pytest.raises(BudgetExceeded, match=r"^P\^2\(F_4\) has more points than "
+                                                 r"the budget of 20$"):
+            rational_locus_check(2, 2, 2, budget=20)

@@ -1,3 +1,6 @@
+import os
+from fractions import Fraction
+
 import pytest
 
 from surfcodes import asymptotic as asy
@@ -43,11 +46,19 @@ def test_check_printable_is_exact():
      BudgetExceeded,
      "enumeration needs a 4305-digit number of messages, budget is 10000000"),
     (lambda: cd.rational_locus_check(14300, 2, 1), BudgetExceeded,
-     "P^14300(F_2) has a 4306-digit number of points, budget is 10000000"),
+     "P^14300(F_2) has more points than the budget of 10000000"),
+    (lambda: cd.rational_locus_check(B, 2, 1), BudgetExceeded,
+     "P^a 5000-digit number(F_2) has more points than the budget of 10000000"),
+    (lambda: cd.rational_locus_check(1, 2, B), Precondition,
+     "2^a 5000-digit number exceeds 65536"),
     (lambda: tw.sample_branch_poly(7, -10 ** 4400, "linear", 1), Precondition,
      "linear factor count must be >= 0, got a 4401-digit negative number"),
     (lambda: tw.hyperelliptic_product_certificate(67, 10 ** 4300, 2, 1), Precondition,
      "only 67 linear factors exist, need a 4301-digit number"),
+    (lambda: tw.r_t_upper(-B), Precondition,
+     "rho must be >= 1, got a 5000-digit negative number"),
+    (lambda: tw.hyperelliptic_product_certificate(67, 3, 3, -B), Precondition,
+     "rho must be >= 1, got a 5000-digit negative number"),
     (lambda: sf.riemann_roch_lower(sf.projective_plane(),
                                    sf.projective_plane().divisor(-10 ** 4400),
                                    sf.projective_plane().divisor(1)), Precondition,
@@ -60,6 +71,10 @@ def test_check_printable_is_exact():
      "need 2 <= g <= q, got g = a 5000-digit number, q = 2"),
     (lambda: asy.polygon_image(-B, 2), Precondition,
      "need 2 <= g <= q, got g = 2, q = a 5000-digit negative number"),
+    (lambda: asy.emit_diagram(2, 2, -B, os.devnull), Precondition,
+     "grid_n must be >= 2, got a 5000-digit negative number"),
+    (lambda: asy.emit_diagram(2, 2, B, os.devnull), BudgetExceeded,
+     "a 5000-digit number^2 diagram samples exceed 250000"),
     (lambda: gf.field_from_order(-B), Precondition,
      "a 5000-digit negative number is not a prime power"),
     (lambda: gf.field_from_order(B), Precondition, "q = a 5000-digit number exceeds 65536"),
@@ -72,6 +87,14 @@ def test_check_printable_is_exact():
      "grid entry a 5000-digit number is not an element of F_3"),
     (lambda: bd.aubry_bound(1, 2, P2.divisor(-B)), Precondition,
      "D = (a 5000-digit negative number,) is not very ample"),
+    (lambda: bd.hansen_curve_bound_uniform(1, 0, 1, B, 1), Precondition,
+     "eta = a 5000-digit number exceeds the point cap 1"),
+    (lambda: bd.hansen_seshadri_bound(1, 1, xi=-B), Precondition,
+     "xi must be >= 1, got a 5000-digit negative number"),
+    (lambda: bd.hansen_seshadri_bound(1, 1, epsilon=Fraction(-1, B)), Precondition,
+     "epsilon must be positive, got -1/a 5000-digit number"),
+    (lambda: bd.lifted_bound(bd.parameter_report(P2, P2.divisor(1), 2), -B), Precondition,
+     "degree must be >= 1, got a 5000-digit negative number"),
     # bounds reasons, returned in the report rather than raised
     (lambda: bd.parameter_report(sf.hirzebruch(B), sf.hirzebruch(B).divisor(1, 1), 3)
      .entry("interpolating").reason, None,
@@ -82,10 +105,22 @@ def test_check_printable_is_exact():
     (lambda: bd.parameter_report(sf.hirzebruch(B), sf.hirzebruch(B).divisor(1, 1), 3,
                                  tag="grid", grid=((0,), (0,))).entry("grid").reason,
      None, "affine 1x1 grid on Hirzebruch(a 5000-digit number)"),
-], ids=["enumeration", "locus_points", "factor_count", "linear_factors", "riemann_roch",
-        "riemann_roch_h", "hirzebruch", "phi_g", "polygon_image", "field_order",
-        "field_order_big", "field_exponent", "field_prime", "section_count", "grid_entry",
-        "aubry", "report_l", "report_g", "report_grid"])
+    (lambda: bd.lifted_bound(bd.parameter_report(P2, P2.divisor(1), 2), B)
+     .entry("interpolating").reason, None,
+     "pullback along a degree-a 5000-digit number totally split cover; "
+     "relative bound 4/7 preserved"),
+    (lambda: bd.parameter_report(P2, P2.divisor(1), 2, xi=B).entry("hansen_S2").reason,
+     None, "caller-supplied xi = a 5000-digit number"),
+    (lambda: bd.parameter_report(P2, P2.divisor(1), 2, epsilon=Fraction(B, 3))
+     .entry("hansen_S1").reason, None,
+     "caller-supplied Seshadri lower bound epsilon = a 5000-digit number/3"),
+], ids=["enumeration", "locus_points", "locus_ell", "locus_m", "factor_count",
+        "linear_factors", "rho", "certificate_rho", "riemann_roch",
+        "riemann_roch_h", "hirzebruch", "phi_g", "polygon_image", "diagram_grid",
+        "diagram_budget", "field_order", "field_order_big", "field_exponent", "field_prime",
+        "section_count", "grid_entry", "aubry", "uniform_eta", "seshadri_xi",
+        "seshadri_epsilon", "lift_degree", "report_l", "report_g", "report_grid",
+        "lift_reason", "report_xi", "report_epsilon"])
 def test_library_messages_name_long_integers_by_digits(call, exc, message):
     # a message that embeds a computed integer never fails to print
     if exc is None:

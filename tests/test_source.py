@@ -226,7 +226,7 @@ def test_unreferenced_definitions_are_paper_formulas():
     assert unused == [
         "asymptotic.product_curve_point",
         "bounds.hansen_curve_bound", "bounds.hansen_curve_bound_uniform",
-        "bounds.seshadri_upper",
+        "bounds.product_grid_bound", "bounds.seshadri_upper",
         "codes.rational_locus_check",
         "surfaces.noether_identity",
         "towers.gs_check_chi_form", "towers.marked_invariants",

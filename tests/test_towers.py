@@ -115,6 +115,26 @@ class TestSampling:
                            match="only 3 monic irreducible quadratics exist, need 4"):
             sample_branch_poly(3, 4, "quadratic", seed=1)
 
+    def test_point_count_budget(self, monkeypatch):
+        # q * deg f Horner steps at most: deg 152 passes at q = 65521 and
+        # deg 154 is refused, as is any degree past the budget, before any
+        # sampling; "only N ... exist" comes first
+        assert sample_branch_poly(65521, 152, "linear", 1).degree == 152
+        assert sample_branch_poly(65521, 76, "quadratic", 1).degree == 152
+        class NoSampling(random.Random):
+            def sample(self, *args, **kwargs):
+                raise AssertionError("sampled past the budget")
+
+        monkeypatch.setattr(tw.random, "Random", NoSampling)
+        for count, kind in ((153, "linear"), (77, "quadratic"), (10 ** 8, "quadratic")):
+            degree = count * (1 + (kind == "quadratic"))
+            with pytest.raises(BudgetExceeded, match=(
+                    f"^a point count at degree {degree} over F_65521 takes "
+                    f"{65521 * degree} Horner steps, budget is 10000000$")):
+                sample_branch_poly(65521, count, kind, 1)
+        with pytest.raises(Precondition, match="^only 65521 linear factors exist"):
+            sample_branch_poly(65521, 65522, "linear", 1)
+
     def test_deterministic(self):
         assert sample_branch_poly(67, 62, "linear", 9) == \
             sample_branch_poly(67, 62, "linear", 9)
