@@ -456,10 +456,9 @@ def _locus_survivors(ell: int, q: int, m: int, budget: int
                      ) -> tuple[set, set]:
     """Survivor set of the Frobenius-difference forms in P^ell(F_{q^m}) and
     the embedded P^ell(F_q), both as canonical-representative sets."""
-    field = gf.field_from_order(q)
-    if m >= gf.MAX_FIELD_SIZE.bit_length() or q ** m > gf.MAX_FIELD_SIZE:  # 2^m <= q^m
-        raise Precondition(f"{q}^{int_text(m)} exceeds {gf.MAX_FIELD_SIZE}")
-    ext, emb = gf.extension_field(field, m)
+    ext, emb = gf.extension_field(gf.field_from_order(q), m)
+    if ell < 0:
+        raise Precondition(f"ell must be >= 0, got {int_text(ell)}")
     # P^ell has at least Q^ell >= 2^(ell * (bits(Q) - 1)) points, so that
     # exponent decides a long ell before any power is formed
     if (ell * (ext.q.bit_length() - 1) >= budget.bit_length()

@@ -18,18 +18,18 @@ Element multiplication and division go through exponential/logarithm tables
 built once per field from a fixed multiplicative generator (the smallest index
 of maximal order); addition is digit-wise base-p (a plain XOR in characteristic
 two).  Polynomials over a prime field (m = 1, where an element's index is its
-value) are multiplied, divided and evaluated on plain ints instead: products
-by Kronecker substitution (one big-int product of the packed operands),
-quotients by schoolbook division reduced mod p once per coefficient, and the
-fixed-modulus powers of poly_pow_mod by Barrett reduction.  Over F_{p^m},
-m > 1, polynomial arithmetic loops over the element operations.
+value) are handled as plain ints: products by Kronecker substitution (one big-int
+product of the packed operands), quotients by schoolbook division reduced mod p
+once per coefficient, gcds by a Euclid whose one-degree steps take one pass,
+and the fixed-modulus powers of poly_pow_mod by Barrett reduction.  Over
+F_{p^m}, m > 1, polynomial arithmetic loops over the element operations.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -297,8 +297,8 @@ def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
     of the base generator x is the smallest-index root of the base modulus
     in the extension, so the embedding is itself canonical.
     """
-    if base.q ** k > MAX_FIELD_SIZE:
-        raise Precondition(f"{base.q}^{k} exceeds {MAX_FIELD_SIZE}")
+    if k > 16 or base.q ** k > MAX_FIELD_SIZE:    # q >= 2: k > 16 gives q^k > 2^16
+        raise Precondition(f"{base.q}^{int_text(k)} exceeds {MAX_FIELD_SIZE}")
     ext = make_field(base.p, base.m * k)
     if base.m == 1:
         return ext, [a % base.p for a in range(base.q)]
@@ -375,10 +375,6 @@ class Polynomial:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: FieldSpec) -> "Polynomial":
-        return cls(field, ())
-
-    @classmethod
     def one(cls, field: FieldSpec) -> "Polynomial":
         return cls(field, (1,))
 
@@ -388,10 +384,8 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, field: FieldSpec, roots: Iterable[int]) -> "Polynomial":
-        out = cls.one(field)
-        for r in roots:
-            out = out * cls(field, (field.neg(r), 1))
-        return out
+        return reduce(operator.mul, (cls(field, (field.neg(r), 1)) for r in roots),
+                      cls.one(field))
 
     # -- basic queries --------------------------------------------------------
 
@@ -490,19 +484,9 @@ class Polynomial:
                               for i, c in enumerate(self.coeffs[1:], 1)))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "Poly(0)"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}x^{i}" if i > 1 else f"{head}x")
-        return "Poly(" + " + ".join(terms) + ")"
+        terms = [(f"{c}*" if c != 1 else "") + (f"x^{i}" if i > 1 else "x") if i else f"{c}"
+                 for i, c in reversed(list(enumerate(self.coeffs))) if c]
+        return "Poly(" + (" + ".join(terms) or "0") + ")"
 
 
 def poly_eval(f: Polynomial, a: int) -> int:
@@ -519,9 +503,25 @@ def poly_eval(f: Polynomial, a: int) -> int:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd by Euclid; over F_p on int lists, where a step one degree down
+    reads its quotient c1 x + c0 off the top coefficients and takes one pass."""
+    F, p = a.field, a.field.p
+    if F.m > 1 or b.field is not F:
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        if len(x) == len(y) + 1 > 2:
+            inv = pow(y[-1], -1, p)
+            c1 = x[-1] * inv % p
+            c0 = (x[-2] - c1 * y[-2]) * inv % p
+            x, y = y, [(s - c1 * t - c0 * u) % p for s, t, u in zip(x, [0] + y, y[:-1])]
+        else:
+            x, y = y, _divmod_ints(x, y, p)[1]
+        while y and not y[-1]:
+            y.pop()
+    return Polynomial(F, x).monic()
 
 
 def poly_pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
@@ -557,7 +557,7 @@ def poly_pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     while e:
         if e & 1:
             result = mulmod(result, b)
-        b = mulmod(b, b)
+        b = mulmod(b, b) if e > 1 else b        # no square after the top bit
         e >>= 1
     return result if F.m > 1 else Polynomial(F, result)
 
@@ -570,8 +570,8 @@ def distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
     (see _canonical_modulus)."""
     F = f.field
     out = []
-    h = Polynomial.x(F) % f
     x = Polynomial.x(F)
+    h = x % f
     d = 0
     while f.degree > 0:
         d += 1

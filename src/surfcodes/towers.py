@@ -4,11 +4,18 @@ curves: point counts by character sums, Frobenius action on Jacobian
 Golod-Shafarevich check.
 
 A hyperelliptic curve here is y^2 = f(t) over odd F_q, with f squarefree of
-even degree 2g + 2 >= 6.  The 2-torsion of its Jacobian is modeled on the
-roots of f: take the sum-zero subspace of F_2^{roots} modulo the all-ones
-vector (dimension 2g) with the Frobenius acting by its permutation of the
-roots.  That permutation has the cycle type of the factor degrees of f, and
-the invariant dimensions are read off the two cycle types in integer
+even degree 2g + 2 >= 6.  The certificates sample f as a product of distinct
+linear or irreducible quadratic factors and count its curve's points from
+those factors: each factor's quadratic character over all t is a shifted
+byte mask, and the masks' XOR gives the character of f, so f is never
+evaluated.  The Horner count hyperelliptic_point_count and the enumeration
+naive_point_count stay as the independent counts.
+
+The 2-torsion of the curve's Jacobian is modeled on the roots of f: take
+the sum-zero subspace of F_2^{roots} modulo the all-ones vector (dimension
+2g) with the Frobenius acting by its permutation of the roots.  That
+permutation has the cycle type of the factor degrees of f, and the
+invariant dimensions are read off the two cycle types in integer
 arithmetic, through the elementary divisors of each module; no matrix is
 formed.
 
@@ -21,8 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 
 from . import gf
@@ -30,7 +39,7 @@ from .errors import BudgetExceeded, InvariantError, Precondition, int_text
 from .records import Record
 
 SEARCH_CANDIDATE_BUDGET = 1_000_000
-POINT_COUNT_BUDGET = 10 ** 7        # Horner steps, q * deg f, about 1 s per curve
+POINT_COUNT_BUDGET = 10 ** 7        # q * deg f: the Horner steps of one point count
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +72,9 @@ class HyperellipticCurve(Record):
 def hyperelliptic_point_count(curve: HyperellipticCurve) -> int:
     """Number of rational points of the smooth model: the affine fiber over t
     has 1 + chi(f(t)) points, and the two points at infinity are rational
-    exactly when the leading coefficient is a nonzero square."""
+    exactly when the leading coefficient is a nonzero square.  Horner's rule
+    at every t; the certificates count from the sampled factors instead
+    (_factor_point_count), and this is their oracle."""
     field, f = curve.field, curve.f
     total = sum(1 + gf.quadratic_character(field, gf.poly_eval(f, t))
                 for t in field.elements())
@@ -96,20 +107,40 @@ def _shifted(flags: bytes, t: int, p: int) -> bytes:
 
 
 def _check_point_count_budget(q: int, degree: int) -> None:
-    """Refuse a curve y^2 = f(t), deg f = degree, whose point count would
-    take more than POINT_COUNT_BUDGET Horner steps (q evaluations of f)."""
+    """Refuse a curve y^2 = f(t), deg f = degree, whose point count by
+    Horner's rule would take more than POINT_COUNT_BUDGET steps (q
+    evaluations of f).  The count from the factors costs about q per distinct
+    factor character, so the same bound keeps it in check."""
     if q * degree > POINT_COUNT_BUDGET:
         raise BudgetExceeded(f"a point count at degree {int_text(degree)} over F_{q} takes "
                              f"{int_text(q * degree, 'Horner steps')}, budget is "
                              f"{POINT_COUNT_BUDGET}")
 
 
-def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomial:
-    """Monic product of `count` distinct linear ("linear") or irreducible
-    quadratic ("quadratic") factors over odd F_q, chosen by sampling from a
-    Random seeded with `seed`, so equal arguments give equal polynomials.  A
-    product whose curve's point count is over budget is refused before any
-    sampling (_check_point_count_budget)."""
+_FLIP = bytes([1, 0]) + bytes(254)          # bytes.translate table: 0 <-> 1
+
+
+@lru_cache(maxsize=None)
+def _characters(field: gf.FieldSpec) -> tuple[tuple[int, ...], bytes]:
+    """The squares u^2 in element order, and the flags of the nonsquares
+    (1 where the quadratic character is -1) over F_q."""
+    if field.m == 1:
+        squares = tuple(u * u % field.p for u in field.elements())
+    else:
+        squares = tuple(field.mul(u, u) for u in field.elements())
+    nonsquare = bytearray([1]) * field.q
+    for s in squares:
+        nonsquare[s] = 0
+    return squares, bytes(nonsquare)
+
+
+def sample_branch_factors(q: int, count: int, kind: str, seed: int) -> list:
+    """`count` distinct monic linear ("linear") or irreducible quadratic
+    ("quadratic") factors over odd F_q, chosen by sampling from a Random
+    seeded with `seed`, so equal arguments give equal factors: the roots r of
+    the t - r in ascending order, or the pairs (b, c) of the t^2 + b t + c in
+    the order they are indexed below.  A product whose curve's point count is
+    over budget is refused before any sampling (_check_point_count_budget)."""
     field = gf.field_from_order(q)
     if field.q % 2 == 0:
         raise Precondition("branch polynomials need odd q")
@@ -120,35 +151,98 @@ def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomia
         if count > q:
             raise Precondition(f"only {q} linear factors exist, need {int_text(count)}")
         _check_point_count_budget(q, count)
-        roots = sorted(rng.sample(range(q), count))
-        poly = gf.Polynomial.from_roots(field, roots)
-    elif kind == "quadratic":
-        half = (q - 1) // 2
-        available = q * half
-        if count > available:
-            raise Precondition(
-                f"only {available} monic irreducible quadratics exist, "
-                f"need {int_text(count)}")
-        _check_point_count_budget(q, 2 * count)
-        # t^2 + b t + c = (t + b/2)^2 + c - b^2/4 is irreducible over odd F_q
-        # iff -(c - b^2/4) is a nonsquare, so the c that suit b are those
-        # that suit 0, shifted by b^2/4: each b has (q - 1)/2 of them.  Index
-        # i names b = i // half and the (i mod half)-th such c in element order.
-        minus_one = field.neg(1)
-        suits_0 = bytearray([1]) * q
-        for y in field.elements():
-            suits_0[field.mul(minus_one, field.mul(y, y))] = 0
-        quarter = field.inv(field.from_int(4))
-        poly = gf.Polynomial.one(field)
-        picks = sorted(rng.sample(range(available), count))
-        for b, group in itertools.groupby(picks, key=lambda i: i // half):
-            suits_b = _shifted(suits_0, field.mul(quarter, field.mul(b, b)), field.p)
-            cs = list(itertools.compress(field.elements(), suits_b))
-            for i in group:
-                poly = poly * field.poly((cs[i % half], b, 1))
-    else:
+        return sorted(rng.sample(range(q), count))
+    if kind != "quadratic":
         raise Precondition(f"unknown factor kind {kind!r}")
-    return poly
+    half = (q - 1) // 2
+    available = q * half
+    if count > available:
+        raise Precondition(
+            f"only {available} monic irreducible quadratics exist, "
+            f"need {int_text(count)}")
+    _check_point_count_budget(q, 2 * count)
+    # t^2 + b t + c = (t + b/2)^2 + c - b^2/4 is irreducible over odd F_q
+    # iff -(c - b^2/4) is a nonsquare, so the c that suit b are those that
+    # suit 0, shifted by b^2/4: each b has (q - 1)/2 of them.  Index i names
+    # b = i // half and the (i mod half)-th such c in element order.  The c
+    # that suit 0 are the nonsquares when -1 is a square (q = 1 mod 4), and
+    # the nonzero squares otherwise.
+    nonsquare = _characters(field)[1]
+    suits_0 = nonsquare if q % 4 == 1 else b"\0" + nonsquare[1:].translate(_FLIP)
+    quarter = field.inv(field.from_int(4))
+    pairs = []
+    picks = sorted(rng.sample(range(available), count))
+    for b, group in itertools.groupby(picks, key=lambda i: i // half):
+        suits_b = _shifted(suits_0, field.mul(quarter, field.mul(b, b)), field.p)
+        cs = list(itertools.compress(field.elements(), suits_b))
+        pairs += [(b, cs[i % half]) for i in group]
+    return pairs
+
+
+def _branch_poly(field: gf.FieldSpec, kind: str, factors: list) -> gf.Polynomial:
+    """The monic product of sampled factors, multiplied in a balanced tree:
+    neighbours pair up level by level, so the operands of each product have
+    about equal degree.  Over F_p the levels are Kronecker products of plain
+    coefficient lists."""
+    if kind == "linear":
+        level = [(field.neg(r), 1) for r in factors]
+    else:
+        level = [(c, b, 1) for b, c in factors]
+    if field.m == 1:
+        def mul(a, b):
+            return gf._kron(a, b, field.p)
+    else:
+        def mul(a, b):
+            return (field.poly(a) * field.poly(b)).coeffs
+    while len(level) > 1:
+        level = [mul(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+    return field.poly(level[0] if level else (1,))
+
+
+def sample_branch_poly(q: int, count: int, kind: str, seed: int) -> gf.Polynomial:
+    """Monic product of the factors sample_branch_factors picks for these
+    arguments, refused as it refuses them."""
+    factors = sample_branch_factors(q, count, kind, seed)
+    return _branch_poly(gf.field_from_order(q), kind, factors)
+
+
+def _factor_point_count(field: gf.FieldSpec, kind: str, factors: list) -> int:
+    """The point count of y^2 = f(t), f the monic product of the sampled
+    factors, equal to hyperelliptic_point_count without evaluating f.
+
+    chi is multiplicative, so chi(f(t)) = -1 exactly where an odd number of
+    factors take a nonsquare value, and chi(f(t)) = 0 at the roots.  The
+    flags of the t where one factor takes a nonsquare value are a shifted
+    mask, one byte per t, and the XOR of all factors' masks, read as one
+    int, has a 1 in each byte where that number is odd:
+    - for t - r, the nonsquare flags shifted by r;
+    - for t^2 + b t + c = (t + h)^2 + a, h = b/2 and a = c - h^2, the mask
+      M_a(u) = [u^2 + a is a nonsquare] at u = t + h, that is M_a shifted
+      by -h; M_a is gathered once per distinct a, from the nonsquare flags
+      at the squares.
+    Every t off the roots gives 1 + chi(f(t)) points, a root one, and a monic
+    f has both points at infinity rational."""
+    q, p = field.q, field.p
+    squares, nonsquare = _characters(field)
+    odd = 0
+    roots = bytearray(q)
+    if kind == "linear":
+        for r in factors:
+            roots[r] = 1
+            odd ^= int.from_bytes(_shifted(nonsquare, r, p), "little")
+    else:
+        gather = operator.itemgetter(*squares)
+        half = field.inv(field.from_int(2))
+        masks = {}
+        for b, c in factors:
+            h = field.mul(half, b)
+            a = field.sub(c, field.mul(h, h))
+            if a not in masks:
+                masks[a] = bytes(gather(_shifted(nonsquare, field.neg(a), p)))
+            odd ^= int.from_bytes(_shifted(masks[a], field.neg(h), p), "little")
+    zeros = int.from_bytes(roots, "little")
+    odd &= ~zeros
+    return zeros.bit_count() + 2 * (q - zeros.bit_count() - odd.bit_count()) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +413,15 @@ class TowerCertificate(Record):
         }
 
 
-def _side(f: gf.Polynomial) -> tuple:
-    """One side of the product: the branch polynomial, the point count of
-    its curve and the Frobenius module on the curve's 2-torsion."""
-    curve = HyperellipticCurve(f.field, f)
-    return f, hyperelliptic_point_count(curve), two_torsion_frobenius(curve)
+def _side(q: int, kind: str, factors: list) -> tuple:
+    """One side of the product from its sampled factors: the branch
+    polynomial, the point count of its curve and the Frobenius module on the
+    curve's 2-torsion.  The curve's squarefree check and the distinct-degree
+    cycle types read f itself, so they check the sampler independently."""
+    field = gf.field_from_order(q)
+    f = _branch_poly(field, kind, factors)
+    curve = HyperellipticCurve(field, f)
+    return f, _factor_point_count(field, kind, factors), two_torsion_frobenius(curve)
 
 
 def _checked_invariants(mc: FrobeniusModule, md: FrobeniusModule) -> dict:
@@ -378,18 +476,22 @@ def hyperelliptic_product_certificate(q: int, g1: int, g2: int, rho: int,
     2 g1 + 2 distinct linear factors) and D quadratic (g a product of g2 + 1
     distinct irreducible quadratics), both monic.
 
-    The invariant dimensions are computed from the Frobenius cycle types of
-    the two sampled curves and cross-checked against closed forms
-    (_checked_invariants), raising InvariantError on a mismatch; the
-    certificate always uses the computed values.  Both branch polynomials are sampled before either curve is
-    built.  The GS inequality is evaluated at the worst case r_T = 3 rho + 1.
-    Hypothesis failures set condition flags rather than raising.
+    The factors of both sides are sampled, the linear ones first, before
+    either branch polynomial is multiplied out or either curve is built, so
+    every sampling refusal comes first.  Each side's point count comes from
+    its factors.  The invariant dimensions are computed from the Frobenius
+    cycle types of the two curves, read off f by distinct-degree splitting,
+    and cross-checked against closed forms (_checked_invariants), raising
+    InvariantError on a mismatch; the certificate always uses the computed
+    values.  The GS inequality is evaluated at the worst case
+    r_T = 3 rho + 1.  Hypothesis failures set condition flags rather than
+    raising.
     """
     if rho < 1:
         raise Precondition(f"rho must be >= 1, got {int_text(rho)}")
-    f = sample_branch_poly(q, 2 * g1 + 2, "linear", seed)
-    g = sample_branch_poly(q, g2 + 1, "quadratic", seed)
-    side_c, side_d = _side(f), _side(g)
+    roots = sample_branch_factors(q, 2 * g1 + 2, "linear", seed)
+    pairs = sample_branch_factors(q, g2 + 1, "quadratic", seed)
+    side_c, side_d = _side(q, "linear", roots), _side(q, "quadratic", pairs)
     kd = _checked_invariants(side_c[2], side_d[2])
     return _certify(q, rho, side_c, side_d, kd)
 
@@ -427,9 +529,11 @@ def search_parameters(q: int, g1_range: Sequence[int], g2_range: Sequence[int],
     sides_c, sides_d, invariants, certs = {}, {}, {}, []
     for (a, ma), (b, mb), (r, mr) in candidates:
         if a not in sides_c:
-            sides_c[a] = _side(sample_branch_poly(q, 2 * a + 2, "linear", seed))
+            sides_c[a] = _side(q, "linear",
+                               sample_branch_factors(q, 2 * a + 2, "linear", seed))
         if b not in sides_d:
-            sides_d[b] = _side(sample_branch_poly(q, b + 1, "quadratic", seed))
+            sides_d[b] = _side(q, "quadratic",
+                               sample_branch_factors(q, b + 1, "quadratic", seed))
         if (a, b) not in invariants:
             invariants[a, b] = _checked_invariants(sides_c[a][2], sides_d[b][2])
         cert = _certify(q, r, sides_c[a], sides_d[b], invariants[a, b])

@@ -35,8 +35,9 @@ through the module, so schoolbook_kernels() routes it too.
 
 Polynomial product, division, modular power and evaluation over F_p have
 their per-coefficient schoolbook loops here, one FieldSpec.add/sub/mul call
-per coefficient pair; schoolbook_kernels() routes gf through them, so gcds,
-distinct-degree splits and factorizations can be recomputed on them.
+per coefficient pair, and the gcd its generic Euclid, one full division per
+step; schoolbook_kernels() routes gf through them, so gcds, distinct-degree
+splits and factorizations can be recomputed on them.
 
 The ample class for the Riemann-Roch lower bound has its earlier scan here:
 the whole box -10..10 in each coordinate on a rank-2 lattice.
@@ -702,7 +703,7 @@ def listed_quadratic_poly(q: int, count: int, seed: int) -> gf.Polynomial:
 def schoolbook_mul(f: gf.Polynomial, g: gf.Polynomial) -> gf.Polynomial:
     F = f.field
     if f.is_zero or g.is_zero:
-        return gf.Polynomial.zero(F)
+        return F.poly(())
     out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, a in enumerate(f.coeffs):
         if a:
@@ -752,20 +753,27 @@ def horner_eval(f: gf.Polynomial, a: int) -> int:
     return acc
 
 
+def euclid_gcd(a: gf.Polynomial, b: gf.Polynomial) -> gf.Polynomial:
+    """The monic gcd by the generic Euclid: one full division per step."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
 @contextmanager
 def schoolbook_kernels():
-    """Inside the block, gf's polynomial product, division, modular power
-    and evaluation are the schoolbook oracles above."""
+    """Inside the block, gf's polynomial product, division, modular power,
+    gcd and evaluation are the schoolbook oracles above."""
     saved = (gf.Polynomial.__mul__, gf.Polynomial.__divmod__,
-             gf.poly_pow_mod, gf.poly_eval)
+             gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval)
     gf.Polynomial.__mul__ = schoolbook_mul
     gf.Polynomial.__divmod__ = schoolbook_divmod
-    gf.poly_pow_mod, gf.poly_eval = schoolbook_pow_mod, horner_eval
+    gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval = schoolbook_pow_mod, euclid_gcd, horner_eval
     try:
         yield
     finally:
         (gf.Polynomial.__mul__, gf.Polynomial.__divmod__,
-         gf.poly_pow_mod, gf.poly_eval) = saved
+         gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval) = saved
 
 
 @lru_cache(maxsize=None)

@@ -523,6 +523,13 @@ class TestRationalLocus:
         with pytest.raises(Precondition, match=r"^257\^3 exceeds 65536$"):
             rational_locus_check(1, 257, 3)
 
+    def test_negative_ell_refused(self):
+        # P^ell with ell < 0 is no projective space; P^0 is a point
+        for ell, q in ((-5, 2), (-1, 3)):
+            with pytest.raises(Precondition, match=f"^ell must be >= 0, got {ell}$"):
+                rational_locus_check(ell, q, 1)
+        assert rational_locus_check(0, 2, 1) and rational_locus_check(0, 3, 2)
+
     def test_long_ell_refused_before_the_power(self):
         # the bit length of q^m decides a long ell: P^(10^4999) is refused
         # at once instead of forming 2^(10^4999)

@@ -51,6 +51,10 @@ def test_check_printable_is_exact():
      "P^a 5000-digit number(F_2) has more points than the budget of 10000000"),
     (lambda: cd.rational_locus_check(1, 2, B), Precondition,
      "2^a 5000-digit number exceeds 65536"),
+    (lambda: cd.rational_locus_check(-5, 2, 1), Precondition, "ell must be >= 0, got -5"),
+    (lambda: cd.rational_locus_check(-1, 3, 1), Precondition, "ell must be >= 0, got -1"),
+    (lambda: gf.extension_field(gf.field_from_order(3), B), Precondition,
+     "3^a 5000-digit number exceeds 65536"),
     (lambda: tw.sample_branch_poly(7, -10 ** 4400, "linear", 1), Precondition,
      "linear factor count must be >= 0, got a 4401-digit negative number"),
     (lambda: tw.hyperelliptic_product_certificate(67, 10 ** 4300, 2, 1), Precondition,
@@ -114,7 +118,8 @@ def test_check_printable_is_exact():
     (lambda: bd.parameter_report(P2, P2.divisor(1), 2, epsilon=Fraction(B, 3))
      .entry("hansen_S1").reason, None,
      "caller-supplied Seshadri lower bound epsilon = a 5000-digit number/3"),
-], ids=["enumeration", "locus_points", "locus_ell", "locus_m", "factor_count",
+], ids=["enumeration", "locus_points", "locus_ell", "locus_m", "locus_negative_ell",
+        "locus_ell_minus_one", "extension_degree", "factor_count",
         "linear_factors", "rho", "certificate_rho", "riemann_roch",
         "riemann_roch_h", "hirzebruch", "phi_g", "polygon_image", "diagram_grid",
         "diagram_budget", "field_order", "field_order_big", "field_exponent", "field_prime",

@@ -19,14 +19,14 @@ def brute_charpoly(rows, n):
     entries = [[gf.Polynomial(F2, ((rows[i] >> j) & 1,)) for j in range(n)]
                for i in range(n)]
     # xI - M entrywise; minus is plus over F_2
-    mat = [[entries[i][j] + (x if i == j else gf.Polynomial.zero(F2))
+    mat = [[entries[i][j] + (x if i == j else F2.poly(()))
             for j in range(n)] for i in range(n)]
 
     def det(m):
         k = len(m)
         if k == 1:
             return m[0][0]
-        acc = gf.Polynomial.zero(F2)
+        acc = F2.poly(())
         for j in range(k):
             if m[0][j].is_zero:
                 continue

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -218,6 +219,14 @@ class TestExtensionField:
         with pytest.raises(Precondition, match=r"^256\^3 exceeds 65536$"):
             extension_field(make_field(2, 8), 3)
 
+    def test_long_degree_refused_before_the_power(self):
+        # a degree past 16 is refused at once, without forming q^k
+        start = time.perf_counter()
+        for k in (17, 10 ** 7, 10 ** 4999):
+            with pytest.raises(Precondition, match=r"^3\^.* exceeds 65536$"):
+                extension_field(make_field(3), k)
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize("p,m,k", [(2, 1, 2), (2, 2, 2), (3, 1, 2),
                                        (2, 2, 3), (2, 3, 2), (3, 2, 2),
                                        (5, 1, 2), (7, 1, 2), (13, 1, 2)])
@@ -237,7 +246,7 @@ class TestPolyEval:
         F3 = make_field(3, 1)
         f = F3.poly((1, 0, 1))  # x^2 + 1
         assert poly_eval(f, 1) == 2
-        assert poly_eval(Polynomial.zero(F3), 2) == 0
+        assert poly_eval(F3.poly(()), 2) == 0
 
     def test_product_of_linear_factors_is_xq_minus_x(self):
         F5 = make_field(5, 1)
@@ -265,7 +274,7 @@ class TestPolyFactor:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(Precondition, match="cannot factor the zero polynomial"):
-            poly_factor(Polynomial.zero(make_field(2, 1)))
+            poly_factor(make_field(2, 1).poly(()))
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
     def test_round_trip_random(self, p, m):
@@ -314,7 +323,7 @@ class TestPolyFactor:
 def _random_poly(F, deg, rng):
     """Degree deg with a random nonzero leading coefficient; deg -1 is zero."""
     if deg < 0:
-        return Polynomial.zero(F)
+        return F.poly(())
     return Polynomial(F, [rng.randrange(F.q) for _ in range(deg)]
                       + [rng.randrange(1, F.q)])
 
@@ -345,6 +354,31 @@ def test_packed_kernels_match_schoolbook(p):
         with oracles.schoolbook_kernels():
             slow = run()
         assert fast == slow
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 67, 65521])
+def test_prime_field_gcd_matches_euclid(p):
+    """The gcd over F_p on int lists equals the generic Euclid on pairs with
+    a common factor, zero operands, equal degrees, remainders that drop more
+    than one degree and non-monic operands, in both argument orders."""
+    rng = random.Random(7 * p)
+    F = make_field(p)
+    zero = F.poly(())
+    pairs = [(zero, zero), (zero, F.poly((p - 1,)))]
+    for _ in range(60):
+        h = _random_poly(F, rng.randrange(-1, 8), rng)
+        da = rng.randrange(-1, 40)
+        db = rng.choice([da, da - 1, da - rng.randrange(2, 6), rng.randrange(-1, 40)])
+        a, b = _random_poly(F, da, rng), _random_poly(F, db, rng)
+        pairs += [(a, b), (a * h, b * h), (a * h, h), (a, zero)]
+        # a divisor whose top terms cancel the dividend's two top terms
+        # leaves a remainder more than one degree down
+        c = _random_poly(F, rng.randrange(2, 30), rng)
+        x_plus = F.poly((rng.randrange(p), 1))
+        pairs.append((c * x_plus + _random_poly(F, rng.randrange(-1, c.degree - 1), rng), c))
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert poly_gcd(x, y) == oracles.euclid_gcd(x, y)
 
 
 def test_field_construction_digest():

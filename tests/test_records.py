@@ -137,7 +137,7 @@ F9 = gf.make_field(3, 2)
                                    gf.Polynomial.from_roots(gf.make_field(2, 2), range(4))
                                    * gf.make_field(2, 2).poly((1, 0, 1))),
      "hyperelliptic model needs odd q"),
-    (lambda: tw.HyperellipticCurve(F7, gf.Polynomial.zero(F7)),
+    (lambda: tw.HyperellipticCurve(F7, F7.poly(())),
      "f must have even degree, got -1"),
     (lambda: tw.HyperellipticCurve(F7, gf.Polynomial.from_roots(F7, range(7))),
      "f must have even degree, got 7"),

@@ -229,6 +229,7 @@ def test_unreferenced_definitions_are_paper_formulas():
         "bounds.product_grid_bound", "bounds.seshadri_upper",
         "codes.rational_locus_check",
         "surfaces.noether_identity",
-        "towers.gs_check_chi_form", "towers.marked_invariants",
-        "towers.naive_point_count", "towers.r_t_bracket",
+        "towers.gs_check_chi_form", "towers.hyperelliptic_point_count",
+        "towers.marked_invariants", "towers.naive_point_count", "towers.r_t_bracket",
+        "towers.sample_branch_poly",
     ]

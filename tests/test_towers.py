@@ -57,6 +57,29 @@ class TestPointCounts:
             assert hyperelliptic_point_count(curve) == naive_point_count(curve)
             done += 1
 
+    @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 25, 27, 49, 67, 81, 125, 243))
+    def test_factor_count_matches_horner_and_naive(self, q):
+        # the count from the sampled factors' character masks equals the
+        # Horner count and the enumeration of all (t, y), on split sides
+        # (down to one t off the roots) and quadratic sides, prime and
+        # prime-power q alike; the enumeration takes q^2 evaluations, so it
+        # runs on every degree-6 side and on every side up to q = 27
+        field = gf.field_from_order(q)
+        rng = random.Random(q)
+        sides = []
+        for seed, linear in ((1, 6), (2, q - 1), (3, 2 * rng.randrange(3, max(q // 2, 3) + 1))):
+            if 6 <= linear <= q:
+                sides.append(("linear", linear, seed))
+            quadratic = 3 if seed == 1 else rng.randrange(3, min(q * (q - 1) // 2, 40) + 1)
+            sides.append(("quadratic", quadratic, seed))
+        for kind, count, seed in sides:
+            factors = tw.sample_branch_factors(q, count, kind, seed)
+            curve = HyperellipticCurve(field, sample_branch_poly(q, count, kind, seed))
+            want = hyperelliptic_point_count(curve)
+            assert tw._factor_point_count(field, kind, factors) == want
+            if seed == 1 or q <= 27:
+                assert naive_point_count(curve) == want
+
     def test_quadratic_twist_fiber_exchange(self):
         # scaling f by a nonsquare swaps 2-point and 0-point fibers
         q = 11
@@ -140,6 +163,23 @@ class TestSampling:
             sample_branch_poly(67, 62, "linear", 9)
         assert sample_branch_poly(67, 31, "quadratic", 9) == \
             sample_branch_poly(67, 31, "quadratic", 9)
+
+    def test_tree_product_equals_sequential(self):
+        # the balanced product of the sampled factors is their product
+        # taken one factor at a time, for every count parity and level shape
+        rng = random.Random(11)
+        for q in (3, 7, 9, 25, 27, 67, 81, 65521):
+            field = gf.field_from_order(q)
+            for count in (0, 1, 2, 3, 5, 8, 13, 31, 64):
+                for kind in ("linear", "quadratic"):
+                    if count > (q if kind == "linear" else q * (q - 1) // 2):
+                        continue
+                    factors = tw.sample_branch_factors(q, count, kind, rng.randrange(10 ** 6))
+                    want = gf.Polynomial.one(field)
+                    for x in factors:
+                        want = want * field.poly((field.neg(x), 1) if kind == "linear"
+                                                 else (x[1], x[0], 1))
+                    assert tw._branch_poly(field, kind, factors) == want
 
     def test_shifted_flags_subtract_in_the_field(self):
         # the sampler shifts the flags of b = 0 by slicing each base-p digit
@@ -544,18 +584,17 @@ class TestCertificates:
         assert search_parameters(67, range(2, 3), range(1, 10 ** 30), []) == []
 
     def test_search_propagates_certificate_errors(self, monkeypatch):
-        # a side error (here a g with a repeated root at g2 = 30, rejected by
-        # the real curve constructor) propagates out of the search
-        real = tw.sample_branch_poly
+        # a side error (here a g with a repeated quadratic factor at g2 = 30,
+        # rejected by the real curve constructor) propagates out of the search
+        real = tw.sample_branch_factors
 
         def sample(q, count, kind, seed):
             if (kind, count) == ("quadratic", 31):
-                h = real(q, count - 1, kind, seed)
-                x = gf.Polynomial.x(h.field)
-                return h * x * x
+                pairs = real(q, count - 1, kind, seed)
+                return pairs + pairs[:1]
             return real(q, count, kind, seed)
 
-        monkeypatch.setattr(tw, "sample_branch_poly", sample)
+        monkeypatch.setattr(tw, "sample_branch_factors", sample)
         with pytest.raises(Precondition, match="f has a repeated root"):
             search_parameters(67, range(29, 31), range(30, 31), range(1, 2))
 
@@ -644,3 +683,60 @@ class TestSearchReuse:
             search_parameters(67, (29, 30, 33), (29, 30), (1, 2, 3))
             # nothing is kept between calls
             assert counts == {"frobenius": 4 * calls, "tensor": 4 * calls}
+
+
+# sha256 of json.dumps of the to_json_dict list, pinned while the point
+# counts still came from Horner's rule and the branch polynomials from
+# sequential products: (g1, g2, rho, seed) rows per q, then search blocks
+CERTIFICATE_SWEEP = {
+    7: ((2, 2, 1, 1), (2, 5, 1, 3), (2, 20, 2, 11)),
+    9: ((2, 2, 1, 1), (3, 7, 2, 4), (3, 35, 1, 9)),
+    11: ((2, 2, 1, 1), (4, 9, 1, 2), (3, 54, 3, 6)),
+    25: ((2, 3, 1, 1), (11, 11, 1, 5), (7, 50, 2, 8)),
+    27: ((2, 2, 1, 1), (12, 13, 2, 3), (9, 60, 1, 10)),
+    67: ((30, 30, 1, 1), (29, 30, 1, 1), (32, 31, 2, 77), (2, 500, 1, 4)),
+    81: ((39, 38, 1, 1), (20, 21, 3, 12), (2, 2, 1, 6)),
+}
+CERTIFICATE_DIGESTS = {
+    7: "d0b7d27ccb6c652faec1740a98335a4013473f50eea4825fd327dd39097fdcb6",
+    9: "459105b2663ad7e4fc71c8f7360a13db57a8416ae7e69b551f0813ec446887e3",
+    11: "38201ca82f751b6a70e567568b696ac718cb4e23c19d5dd09a8e56c668d4c2aa",
+    25: "ce341b328e82e7cb359db7f8d9d50e096279d64ce69e845282398122304bdcdf",
+    27: "d4c3e2d9c5bd996f649a1fc0c8aa838ebd348005e16ede6bfe9bd09c981e4640",
+    67: "a45a75d87a1c1e4decdeede36dfc1bd5593763a6f6ad76ee1943388c8e8583a0",
+    81: "de5c20067f529e8adb8fd3f2c258295a2c20c6d6b8ae76e83aceb896f9fd0866",
+}
+SEARCH_DIGESTS = [
+    ((67, range(25, 33), range(25, 33), range(1, 3), 5),
+     "cd35f4f4b0e16a1a1e38faf13ecad33bfa6c2ff3b6df53027ae73614c5b678de"),
+    ((81, (39, 2, 38), (37, 38, 40), (1,), 2),
+     "4d2ab00e0f35d3e3f7f2c32da9ac4950875b587cf28711dd0c5ea9d68cf9d9bb"),
+]
+
+
+def _certificates_digest(certs) -> str:
+    return hashlib.sha256(json.dumps([c.to_json_dict() for c in certs]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q", sorted(CERTIFICATE_SWEEP))
+def test_certificate_bytes_pinned(q):
+    certs = [hyperelliptic_product_certificate(q, *row) for row in CERTIFICATE_SWEEP[q]]
+    assert _certificates_digest(certs) == CERTIFICATE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("args, digest", SEARCH_DIGESTS, ids=["q67", "q81"])
+def test_search_bytes_pinned(args, digest):
+    assert _certificates_digest(search_parameters(*args)) == digest
+
+
+def test_library_path_evaluates_no_polynomial(monkeypatch):
+    # certificates and searches count points from the sampled factors: no
+    # Horner evaluation runs on the way
+    def no_horner(f, a):
+        raise AssertionError("poly_eval called")
+
+    monkeypatch.setattr(gf, "poly_eval", no_horner)
+    cert = hyperelliptic_product_certificate(67, 30, 30, 1)
+    assert (cert.count_c, cert.count_d, cert.gs_pass) == (72, 80, True)
+    certs = search_parameters(67, (29, 30, 33), (29, 30), (1, 2))
+    assert [(c.g1, c.g2, c.rho) for c in certs] == [(30, 29, 1), (30, 30, 1)]
