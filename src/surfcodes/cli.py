@@ -132,8 +132,9 @@ def cmd_code_build(args) -> int:
 
 def cmd_code_distance(args) -> int:
     from . import codes as cd
-    code = cd.load_code(args.infile)
-    d = cd.exact_min_distance(code, _distance_budget(args))
+    budget = _distance_budget(args)
+    code = cd.load_code(args.infile, budget)        # budget refusals before the rank
+    d = cd.exact_min_distance(code, budget)
     payload = code.to_json_dict()
     payload["d"] = d
     return _emit(args, payload)

@@ -221,11 +221,13 @@ def _require(d, key: str, kind: type):
     return value
 
 
-def code_from_json_dict(d: dict) -> LinearCode:
+def code_from_json_dict(d: dict, distance_budget: Optional[int] = None) -> LinearCode:
     """Parse a code JSON document, validating it on the way: required keys
     and their types, the generator length, every entry in [0, q), and the
     generator rows having rank exactly k.  Violations raise Precondition;
-    n > MAX_POINTS or n * k > MAX_CODE_CELLS raise BudgetExceeded first."""
+    n > MAX_POINTS or n * k > MAX_CODE_CELLS raise BudgetExceeded first, and
+    so, given a distance_budget, does a nonzero code that exact_min_distance
+    would refuse for that budget (check_distance_budget, from q, n and k)."""
     fd = _require(d, "field", dict)
     _require(fd, "p", int)
     _require(fd, "m", int)
@@ -238,6 +240,8 @@ def code_from_json_dict(d: dict) -> LinearCode:
     if n * k > MAX_CODE_CELLS:
         raise BudgetExceeded(f"{k} rows at {n} points exceed {MAX_CODE_CELLS} "
                              f"generator entries")
+    if distance_budget is not None and k > 0:
+        check_distance_budget(field.q, n, k, distance_budget)
     flat = _require(d, "generator", list)
     if len(flat) != n * k:
         raise Precondition(f"generator has {len(flat)} entries, expected {n * k}")
@@ -272,13 +276,13 @@ def code_from_json_dict(d: dict) -> LinearCode:
                       tag=tag, grid=grid)
 
 
-def load_code(path: str) -> LinearCode:
+def load_code(path: str, distance_budget: Optional[int] = None) -> LinearCode:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:                 # not JSON, or not UTF-8
             raise Precondition(str(exc)) from exc
-    return code_from_json_dict(doc)
+    return code_from_json_dict(doc, distance_budget)
 
 
 def matrix_rank(field: gf.FieldSpec, rows: Sequence[Sequence[int]]) -> int:
@@ -383,6 +387,17 @@ def check_table_budget(q: int, n: int) -> None:
                              f"{MAX_ROW_TABLE_CELLS}")
 
 
+def check_distance_budget(q: int, n: int, k: int, budget: int) -> None:
+    """Raise BudgetExceeded unless the distance search of a length-n code of
+    dimension k over F_q enumerates at most budget messages and can build its
+    tables (check_table_budget): all decided from q, n and k."""
+    total = enumeration_size(q, k)
+    if total > budget:
+        raise BudgetExceeded(
+            f"enumeration needs {int_text(total, 'messages')}, budget is {budget}")
+    check_table_budget(q, n)
+
+
 def exact_min_distance(code: LinearCode,
                        budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
     """Exact minimum Hamming weight over nonzero codewords.
@@ -405,11 +420,7 @@ def exact_min_distance(code: LinearCode,
     if code.k == 0:
         raise Precondition("zero code has no minimum distance")
     q, n, k = code.field.q, code.n, code.k
-    total = enumeration_size(q, k)
-    if total > budget:
-        raise BudgetExceeded(
-            f"enumeration needs {int_text(total, 'messages')}, budget is {budget}")
-    check_table_budget(q, n)
+    check_distance_budget(q, n, k, budget)
     import numpy as np
     add_t, mul_t = code.field.numpy_tables()
     gen = np.array(code.generator, dtype=add_t.dtype)

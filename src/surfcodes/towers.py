@@ -84,11 +84,11 @@ def hyperelliptic_point_count(curve: HyperellipticCurve) -> int:
 
 
 def naive_point_count(curve: HyperellipticCurve) -> int:
-    """Independent oracle: enumerate all (t, y) with y^2 = f(t), then add the
-    points at infinity."""
+    """Independent oracle: enumerate all (t, y) with y^2 = f(t), f evaluated
+    once per t, then add the points at infinity."""
     field, f = curve.field, curve.f
-    total = sum(1 for t in field.elements() for y in field.elements()
-                if field.mul(y, y) == gf.poly_eval(f, t))
+    values = [gf.poly_eval(f, t) for t in field.elements()]
+    total = sum(1 for v in values for y in field.elements() if field.mul(y, y) == v)
     if gf.quadratic_character(field, f.leading) == 1:
         total += 2
     return total
@@ -182,20 +182,30 @@ def sample_branch_factors(q: int, count: int, kind: str, seed: int) -> list:
 def _branch_poly(field: gf.FieldSpec, kind: str, factors: list) -> gf.Polynomial:
     """The monic product of sampled factors, multiplied in a balanced tree:
     neighbours pair up level by level, so the operands of each product have
-    about equal degree.  Over F_p the levels are Kronecker products of plain
-    coefficient lists."""
+    about equal degree.  The split side starts from the paired roots'
+    quadratics (t - a)(t - b) = t^2 - (a + b) t + ab.  Over F_p every operand
+    stays packed in one int, and a product is one big-int product reduced
+    slot by slot (gf._reducer)."""
     if kind == "linear":
-        level = [(field.neg(r), 1) for r in factors]
+        level = [(field.mul(a, b), field.neg(field.add(a, b)), 1)
+                 for a, b in zip(factors[::2], factors[1::2])]
+        level += [(field.neg(r), 1) for r in factors[len(factors) & ~1:]]
     else:
         level = [(c, b, 1) for b, c in factors]
+    n, p = sum(map(len, level)) - len(level) + 1, field.p       # coefficients of f
     if field.m == 1:
+        w = gf._width(2 * (n * (p - 1) ** 2).bit_length() + 2)
+        red, level = gf._reducer(p, w, n), [gf._pack(c, w) for c in level]
+
         def mul(a, b):
-            return gf._kron(a, b, field.p)
+            return red(a * b)
     else:
         def mul(a, b):
             return (field.poly(a) * field.poly(b)).coeffs
     while len(level) > 1:
         level = [mul(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+    if field.m == 1:
+        return field.poly(gf._unpack(level[0], n, w, p) if level else (1,))
     return field.poly(level[0] if level else (1,))
 
 
@@ -293,12 +303,12 @@ def _elementary_divisors(module: FrobeniusModule) -> dict[int, list[int]]:
     odd (an even root count rules out s = 1 with k odd).  Exponent 0 vanishes.
     """
     out: dict[int, list[int]] = {}
-    for c in module.cycles:
+    for c, count in Counter(module.cycles).items():
         v = (c & -c).bit_length() - 1
         m = c >> v
         for d in range(1, m + 1):
             if m % d == 0:
-                out.setdefault(d, []).append(1 << v)
+                out.setdefault(d, []).extend([1 << v] * count)
     ones = sorted(out[1])
     if ones.count(ones[0]) % 2:
         ones[0] -= 2

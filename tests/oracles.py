@@ -760,20 +760,97 @@ def euclid_gcd(a: gf.Polynomial, b: gf.Polynomial) -> gf.Polynomial:
     return a.monic()
 
 
+def list_euclid_gcd(a: gf.Polynomial, b: gf.Polynomial) -> gf.Polynomial:
+    """The monic gcd over F_p by Euclid on unpacked int lists: a step one
+    degree down reads its quotient c1 x + c0 off the top coefficients and
+    takes one pass, reduced mod p at every step; any other step divides."""
+    F, p = a.field, a.field.p
+    if F.m > 1:
+        return euclid_gcd(a, b)
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        if len(x) == len(y) + 1 > 2:
+            inv = pow(y[-1], -1, p)
+            c1 = x[-1] * inv % p
+            c0 = (x[-2] - c1 * y[-2]) * inv % p
+            x, y = y, [(s - c1 * t - c0 * u) % p for s, t, u in zip(x, [0] + y, y[:-1])]
+        else:
+            x, y = y, gf._divmod_ints(x, y, p)[1]
+        while y and not y[-1]:
+            y.pop()
+    return gf.Polynomial(F, x).monic()
+
+
+def barrett_pow_mod(base: gf.Polynomial, e: int, mod: gf.Polynomial) -> gf.Polynomial:
+    """base^e modulo mod over F_p, rebuilding its Barrett inverse (the
+    inverse of the reversed monic associate of mod modulo x^(d-1)) by the
+    O(d^2) recurrence on every call; each product is reduced by two unpacked
+    Kronecker products against that inverse."""
+    F, p, d = base.field, base.field.p, mod.degree
+    if F.m > 1:
+        return schoolbook_pow_mod(base, e, mod)
+    m = mod.monic().coeffs
+    low, rev = m[:d], m[::-1]
+    inv = [1]
+    for j in range(1, d - 1):
+        inv.append(-sum(a * b for a, b in zip(rev[1:j + 1], reversed(inv))) % p)
+
+    def mulmod(a: list[int], b: list[int]) -> list[int]:
+        c = gf._kron(a, b, p)
+        k = len(c) - d
+        if k <= 0:
+            return c
+        quot = gf._kron(c[:d - 1:-1], inv[:k], p)[k - 1::-1]
+        return [(x - y) % p for x, y in zip(c[:d], gf._kron(quot, low, p))]
+
+    result, b = [1], list((base % mod).coeffs)
+    while e:
+        if e & 1:
+            result = mulmod(result, b)
+        b = mulmod(b, b) if e > 1 else b
+        e >>= 1
+    return gf.Polynomial(F, result)
+
+
+def polynomial_distinct_degree(f: gf.Polynomial) -> list[tuple[int, gf.Polynomial]]:
+    """The distinct-degree split on Polynomial values: each h = x^(q^d) mod f
+    by its own gf.poly_pow_mod call and gcd(h - x, f) by gf.poly_gcd, both
+    looked up through the module, so schoolbook_kernels() routes them."""
+    F = f.field
+    out = []
+    x = gf.Polynomial.x(F)
+    h = x % f
+    d = 0
+    while f.degree > 0:
+        d += 1
+        if 2 * d > f.degree:
+            out.append((f.degree, f))
+            break
+        h = gf.poly_pow_mod(h, F.q, f)
+        g = gf.poly_gcd(h - x, f)
+        if g.degree > 0:
+            out.append((d, g))
+            f = f // g
+            h = h % f
+    return out
+
+
 @contextmanager
 def schoolbook_kernels():
     """Inside the block, gf's polynomial product, division, modular power,
-    gcd and evaluation are the schoolbook oracles above."""
+    gcd, evaluation and distinct-degree split are the oracles above: the
+    schoolbook loops, the generic Euclid and the Polynomial split."""
     saved = (gf.Polynomial.__mul__, gf.Polynomial.__divmod__,
-             gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval)
+             gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval, gf.distinct_degree)
     gf.Polynomial.__mul__ = schoolbook_mul
     gf.Polynomial.__divmod__ = schoolbook_divmod
     gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval = schoolbook_pow_mod, euclid_gcd, horner_eval
+    gf.distinct_degree = polynomial_distinct_degree
     try:
         yield
     finally:
         (gf.Polynomial.__mul__, gf.Polynomial.__divmod__,
-         gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval) = saved
+         gf.poly_pow_mod, gf.poly_gcd, gf.poly_eval, gf.distinct_degree) = saved
 
 
 @lru_cache(maxsize=None)

@@ -542,3 +542,14 @@ class TestRationalLocus:
         with pytest.raises(BudgetExceeded, match=r"^P\^2\(F_4\) has more points than "
                                                  r"the budget of 20$"):
             rational_locus_check(2, 2, 2, budget=20)
+
+
+def test_distance_budget_decided_before_the_rank():
+    # dependent rows (a rank fault) in a code whose enumeration is over the
+    # distance budget: the budget, read from q, n and k, is refused first
+    doc = {"field": {"p": 3, "m": 1, "modulus": [0]}, "n": 4, "k": 2,
+           "generator": [1, 2, 0, 1, 1, 2, 0, 1]}
+    with pytest.raises(Precondition):
+        code_from_json_dict(doc)
+    with pytest.raises(BudgetExceeded):
+        code_from_json_dict(doc, distance_budget=3)

@@ -395,3 +395,48 @@ def test_field_construction_digest():
     assert count == 604
     assert h.hexdigest() == \
         "29a24ddd6cef40da70bf064a7979599915daf72ded872d17a9bab6be92847061"
+
+
+def test_pow_mod_refuses_negative_exponent():
+    F = make_field(7)
+    start = time.perf_counter()
+    with pytest.raises(Precondition):
+        gf.poly_pow_mod(Polynomial.x(F), -1, F.poly((1, 0, 1)))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [2, 3, 67, 65521])
+def test_packed_kernel_matches_list_oracles(p):
+    """The packed Euclid, the shared Barrett context and the int-list split
+    agree with the one-pass list Euclid, the per-call Barrett power and the
+    Polynomial split they replaced: moduli of degree 0, 1 and 2, zero
+    operands, exponents 0, 1, p, p^2 and random, remainders that drop more
+    than one degree inside a run, and at p = 65521 runs of two lazy steps."""
+    rng = random.Random(11 * p)
+    F = make_field(p)
+    zero = F.poly(())
+    for i in range(24):
+        a = _random_poly(F, rng.randrange(-1, 90), rng)
+        mod = _random_poly(F, i if i < 3 else rng.randrange(3, 70), rng)
+        for e in (0, 1, p, p * p, rng.randrange(p ** 3)):
+            assert gf.poly_pow_mod(a, e, mod) == oracles.barrett_pow_mod(a, e, mod)
+        c = _random_poly(F, rng.randrange(3, 40), rng)
+        # x c + r with deg r < deg c - 1: the run's second step drops two degrees
+        drop = F.poly((0, 1)) * c + _random_poly(F, rng.randrange(-1, c.degree - 1), rng)
+        for x, y in ((a, mod), (drop, c), (a, zero), (zero, a), (c * a, c)):
+            assert poly_gcd(x, y) == oracles.list_euclid_gcd(x, y)
+        f = _random_poly(F, rng.randrange(1, 40), rng).monic()
+        f = f // poly_gcd(f, f.derivative()) if f.derivative().coeffs else f
+        assert gf.distinct_degree(f) == oracles.polynomial_distinct_degree(f)
+
+
+def test_one_barrett_context_per_side(monkeypatch):
+    """A certificate builds exactly one Barrett context for each of its two
+    sides: the split's powers share it, and nothing else builds one."""
+    from surfcodes import towers
+    gf.field_from_order(67)
+    calls = []
+    real = gf._barrett
+    monkeypatch.setattr(gf, "_barrett", lambda m, p: calls.append(len(m) - 1) or real(m, p))
+    towers.hyperelliptic_product_certificate(67, 30, 30, 1, 5)
+    assert calls == [62, 62]
