@@ -4,6 +4,8 @@ Subpackage map:
 
 * ``gf``         exact F_q arithmetic, quadratic characters, extensions,
                  distinct-degree splitting
+* ``fpx``        polynomials over a prime field as packed int lists: products,
+                 division, a lazily reduced Euclid, Barrett contexts
 * ``surfaces``   the Neron-Severi catalog: intersection form, canonical
                  class, positivity flags, point counts
 * ``codes``      generator matrices, exact minimum distance, rational-locus
@@ -28,7 +30,8 @@ from . import errors
 
 __version__ = "0.1.0"
 
-_MODULES = ("asymptotic", "bounds", "cli", "codes", "gf", "records", "surfaces", "towers")
+_MODULES = ("asymptotic", "bounds", "cli", "codes", "fpx", "gf", "records", "surfaces",
+            "towers")
 
 # re-exported name -> the submodule defining it
 _NAMES = {
@@ -42,8 +45,8 @@ _NAMES = {
                      "hyperelliptic_product_certificate"), "towers"),
 }
 
-__all__ = ["asymptotic", "bounds", "cli", "codes", "errors", "gf", "records", "surfaces",
-           "towers", *_NAMES, "__version__"]
+__all__ = ["asymptotic", "bounds", "cli", "codes", "errors", "fpx", "gf", "records",
+           "surfaces", "towers", *_NAMES, "__version__"]
 
 
 def __getattr__(name):

@@ -5,28 +5,29 @@ polynomial residue a_0 + a_1*x + ... + a_{m-1}*x^{m-1} modulo the field's
 defining polynomial.  Index 0 is the additive identity and index 1 the
 multiplicative identity.
 
-The defining modulus is canonical: the monic irreducible of degree m over F_p
-whose coefficients (c_0, ..., c_{m-1}), read as the base-p integer
-sum(c_i * p^i), are smallest (x for prime fields), found by distinct-degree
-splitting.  So every field, and every computation on it, is reproducible bit
-for bit without an external polynomial table.  Multiplication and division go
-through exp/log tables of the smallest generator; addition is digit-wise
-base-p (a plain XOR in characteristic two).
+The defining modulus is canonical: among all monic irreducible degree-m
+polynomials over F_p, we take the one whose coefficient tuple
+(c_0, ..., c_{m-1}), read as the base-p integer sum(c_i * p^i), is smallest.
+This makes every field, and hence every downstream computation, reproducible
+bit-for-bit without an external polynomial table.  For prime fields the rule
+yields the modulus x.  The modulus search, the table bootstrap and the subfield
+embeddings all use the one polynomial arithmetic over F_p: candidates are
+tested for irreducibility by distinct-degree splitting.
 
-Polynomials over a prime field (m = 1, index equals value) are int lists on
-one packed-integer kernel: products by Kronecker substitution (one big-int
-product of the packed operands, in slots that never carry), quotients by
-schoolbook division, gcds by a Euclid whose one-degree steps run on both
-remainders packed in 64-bit slots, reduced mod p only when a tracked bound
-would overflow, and powers modulo a monic modulus by one Barrett context per
-modulus (mu by Newton iteration; a product mod m is three big-int products).
+Element multiplication and division go through exponential/logarithm tables
+built once per field from a fixed multiplicative generator (the smallest index
+of maximal order); addition is digit-wise base-p (a plain XOR in characteristic
+two).  Polynomials over a prime field (m = 1, where an element's index is its
+value) are int lists on the packed-integer kernel of fpx, imported on first
+use: products by Kronecker substitution, quotients by schoolbook division,
+gcds by a Euclid whose one-degree steps run packed and are reduced mod p
+lazily, and powers modulo a fixed modulus by one Barrett context per modulus.
 Over F_{p^m}, m > 1, polynomial arithmetic loops over the element operations.
 """
 
 from __future__ import annotations
 
 import operator
-from array import array
 from functools import lru_cache, reduce
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -48,22 +49,31 @@ def _digits(a: int, p: int, m: int) -> list[int]:
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of n, ascending."""
-    out, d = [], 2
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    return out + [n] if n > 1 else out
+    if n > 1:
+        out.append(n)
+    return out
 
 
-# -- FieldSpec ----------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# FieldSpec
+# ---------------------------------------------------------------------------
 
 class FieldSpec:
     """A finite field F_q, q = p^m <= 2^16, with canonical modulus and
-    index-coded elements; immutable after construction, so safe to share.
-    Use :func:`make_field`, which caches one instance per (p, m)."""
+    index-coded elements.
+
+    All state is immutable after construction; instances are safe to share
+    across threads and processes.  Use :func:`make_field`, which caches one
+    instance per (p, m).
+    """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_pows",
                  "_np_add", "_np_mul")
@@ -71,7 +81,8 @@ class FieldSpec:
     def __init__(self, p: int, m: int):
         if m < 1:
             raise Precondition(f"exponent m must be >= 1, got {int_text(m)}")
-        # refuse oversized input before trial division (and p ** m): m > 16 gives q > 2^16
+        # reject oversized input before the trial-division primality test
+        # (and before computing p ** m for a huge m); p >= 2, m > 16 gives q > 2^16
         if p > MAX_FIELD_SIZE or (p >= 2 and m > 16):
             raise Precondition(f"q = {int_text(p)}^{int_text(m)} exceeds {MAX_FIELD_SIZE}")
         if prime_factors(p) != [p]:
@@ -79,39 +90,56 @@ class FieldSpec:
         q = p ** m
         if q > MAX_FIELD_SIZE:
             raise Precondition(f"q = {p}^{m} = {q} exceeds {MAX_FIELD_SIZE}")
-        self.p, self.m, self.q = p, m, q
+        self.p = p
+        self.m = m
+        self.q = q
         self.modulus = _canonical_modulus(p, m)
         self._pows = tuple(p ** i for i in range(m))
-        self._np_add = self._np_mul = None
+        self._np_add = None
+        self._np_mul = None
         self._build_tables()
+
+    # -- raw digit arithmetic (table bootstrap) -----------------------------
 
     def _from_digits(self, digits: Sequence[int]) -> int:
         return sum(d * w for d, w in zip(digits, self._pows))
 
     def _build_tables(self) -> None:
-        """The exp and log tables of the generator, the smallest index g with
-        g^((q-1)/r) != 1 for each prime r | q - 1.  For m > 1 an element is
-        its digit polynomial over F_p, multiplied modulo the field's modulus
-        by one Barrett context."""
         q, p, m = self.q, self.p, self.m
-        mulmod = _barrett(self.modulus + (1,), p)
-
-        def mul(a: int, b: int) -> int:
-            if m == 1:
+        if m == 1:
+            def mul(a: int, b: int) -> int:
                 return a * b % p
-            return self._from_digits(mulmod(_digits(a, p, m), _digits(b, p, m)))
-        rs = prime_factors(q - 1)
-        gen = next((g for g in range(2, q) if all(_power(mul, g, (q - 1) // r) != 1
-                                                  for r in rs)), 1 if q == 2 else 0)
-        if not gen:
-            raise InvariantError("no multiplicative generator found")
-        exp, log, x = [0] * (q - 1), [0] * q, 1
+        else:
+            from . import fpx
+            mulmod = fpx.barrett(self.modulus + (1,), p)    # one context for the bootstrap
+
+            def mul(a: int, b: int) -> int:
+                return self._from_digits(mulmod(_digits(a, p, m), _digits(b, p, m)))
+
+        if q == 2:
+            gen = 1
+        else:
+            rs = prime_factors(q - 1)
+            gen = 0
+            for g in range(2, q):
+                if all(_power(mul, g, (q - 1) // r) != 1 for r in rs):
+                    gen = g
+                    break
+            if not gen:
+                raise InvariantError("no multiplicative generator found")
+        exp = [0] * (q - 1)
+        log = [0] * q
+        x = 1
         for i in range(q - 1):
-            exp[i], log[x] = x, i
+            exp[i] = x
+            log[x] = i
             x = mul(x, gen)
         if x != 1:
             raise InvariantError("generator order mismatch")
-        self._exp, self._log = tuple(exp), tuple(log)
+        self._exp = tuple(exp)
+        self._log = tuple(log)
+
+    # -- public element operations ------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -145,14 +173,18 @@ class FieldSpec:
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise Precondition("division by 0")
-        return self.mul(a, self.inv(b))
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] - self._log[b]) % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
         """Square-and-multiply via the log table; integer exponent of any sign."""
         if a == 0:
-            if e < 0:
-                raise Precondition("0 raised to a negative power")
-            return int(e == 0)
+            if e > 0:
+                return 0
+            if e == 0:
+                return 1
+            raise Precondition("0 raised to a negative power")
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def elements(self) -> range:
@@ -161,6 +193,8 @@ class FieldSpec:
     def from_int(self, c: int) -> int:
         """The prime-subfield element c*1 (index equals c mod p)."""
         return c % self.p
+
+    # -- cached numpy operation tables (used by the distance kernels) -------
 
     def numpy_tables(self):
         """(add, mul) tables as q-by-q arrays of dtype min_scalar_type(q - 1),
@@ -185,6 +219,8 @@ class FieldSpec:
                 add += (digit[:, None] + digit[None, :]) % p * w
             self._np_add, self._np_mul = add.astype(dtype, copy=False), mul
         return self._np_add, self._np_mul
+
+    # -- misc ----------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -245,9 +281,13 @@ def quadratic_character(spec: FieldSpec, a: int) -> int:
 
 
 def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
-    """F_{q^k} and the ring embedding F_q -> F_{q^k} as the list emb of the
-    images' indices.  The base generator x goes to the smallest-index root of
-    the base modulus in the extension, so the embedding is canonical."""
+    """F_{q^k} together with the ring embedding F_q -> F_{q^k}.
+
+    The embedding is returned as a list `emb` of length q with emb[a] the
+    image index; it fixes 0 and 1 and commutes with add and mul.  The image
+    of the base generator x is the smallest-index root of the base modulus
+    in the extension, so the embedding is itself canonical.
+    """
     if k > 16 or base.q ** k > MAX_FIELD_SIZE:    # q >= 2: k > 16 gives q^k > 2^16
         raise Precondition(f"{base.q}^{int_text(k)} exceeds {MAX_FIELD_SIZE}")
     ext = make_field(base.p, base.m * k)
@@ -262,145 +302,15 @@ def extension_field(base: FieldSpec, k: int) -> tuple[FieldSpec, list[int]]:
     return ext, emb
 
 
-# -- Coefficient lists over a prime field (index equals value), packed in ints ---
-
-_CODES = {8: "B", 16: "H", 32: "I", 64: "Q", 128: "Q"}
-
-
-def _width(bits: int) -> int:
-    """The narrowest slot of at least this many bits, up to 128: 8, 16, 32, 64 or 128."""
-    return 8 << max(0, (bits - 1).bit_length() - 3)
-
-
-def _pack(a: Sequence[int], w: int) -> int:
-    """The entries of a, each below 2^64, as one int: entry i in the w-bit slot i."""
-    if w > 64:
-        a, z = [0] * (2 * len(a)), a
-        a[::2] = z
-    return int.from_bytes(array(_CODES[w], a), "little")
-
-
-def _unpack(x: int, n: int, w: int, p: int) -> list[int]:
-    """The first n slots of the packed x, each below 2^64, reduced mod p."""
-    x &= (1 << w * n) - 1
-    a = array(_CODES[w], x.to_bytes(w * n >> 3, "little"))
-    return [c % p for c in (a[::2] if w > 64 else a)]
-
-
-def _kron(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """The product of coefficient lists over F_p by Kronecker substitution: a
-    slot of the product sums at most min(len) terms below p^2, so slots that
-    hold that bound never carry."""
-    if not a or not b:
-        return []
-    w = _width((min(len(a), len(b)) * (p - 1) ** 2).bit_length())
-    x = _pack(a, w)
-    return _unpack(x * (x if a is b else _pack(b, w)), len(a) + len(b) - 1, w, p)
-
-
-def _divmod_ints(a: Sequence[int], b: Sequence[int], p: int
-                 ) -> tuple[list[int], list[int]]:
-    """Schoolbook quotient and remainder of coefficient lists over F_p, b with
-    a nonzero leading coefficient; reduced once per quotient term and at the end."""
-    d = len(b) - 1
-    r = list(a)
-    if len(r) <= d:
-        return [], r
-    inv = pow(b[-1], -1, p)
-    low = b[:d]
-    quot = [0] * (len(r) - d)
-    for shift in range(len(r) - 1 - d, -1, -1):
-        c = r[shift + d] % p * inv % p
-        if c:
-            quot[shift] = c
-            r[shift:shift + d] = [x - c * y for x, y in zip(r[shift:shift + d], low)]
-    return quot, [x % p for x in r[:d]]
-
-
-def _reducer(p: int, w: int, n: int):
-    """v -> v mod p slot by slot, for n slots of w bits that hold values below
-    2^a, a = w/2 - 1, in five big-int operations: floor(v M / 2^s) is the
-    quotient by p for M = floor(2^s / p) + 1, s = a + bits(p), since
-    v (M p - 2^s) < 2^s, and v M < 2^w stays in its slot (Granlund &
-    Montgomery 1994)."""
-    s = w // 2 - 1 + p.bit_length()
-    mul, q = (1 << s) // p + 1, ((1 << w - s) - 1) * ((1 << w * n) - 1) // ((1 << w) - 1)
-    return lambda v: v - ((v * mul >> s) & q) * p
-
-
-def _gcd_ints(x: list[int], y: list[int], p: int) -> list[int]:
-    """A gcd of coefficient lists over F_p, leading terms nonzero, by Euclid.
-
-    A run of steps one degree down packs both remainders reversed, leading
-    term in slot 0, and forms x - (c1 t + c0) y as x + y (p - c1 + (p - c0) 2^w)
-    shifted two slots down, c1 and c0 read off slots 0 and 1.  The slots are
-    reduced (_reducer) only when their bound bx + 2p by would reach 2^a.  Any
-    other step is a _divmod_ints division."""
-    w = 64 if p < 1 << 15 else 128             # so that p + 2p^2 < 2^a
-    a, one, two = w // 2 - 1, (1 << w) - 1, (1 << 2 * w) - 1
-    while y:
-        n = len(y)
-        if len(x) != n + 1 or n < 2:
-            x, y = y, _divmod_ints(x, y, p)[1] if n > 1 else []
-        else:
-            red = _reducer(p, w, n + 1)
-            xs, ys, bx, by, lead = _pack(x[::-1], w), _pack(y[::-1], w), p, p, y[-1]
-            while n > 1 and lead:
-                if bx + 2 * p * by >> a:
-                    xs, ys, bx, by = red(xs), red(ys), p, p
-                inv = pow(lead, -1, p)
-                c1 = (xs & one) * inv % p
-                c0 = (((xs & two) >> w) - c1 * ((ys & two) >> w)) * inv % p
-                xs, ys = ys, (xs + ys * ((p - c0) << w | p - c1)) >> 2 * w
-                bx, by, n, lead = by, bx + 2 * p * by, n - 1, (ys & one) % p
-            x, y = _unpack(xs, n + 1, w, p)[::-1], _unpack(ys, n, w, p)[::-1]
-        while y and not y[-1]:
-            y.pop()
-    return x
-
-
-def _barrett(m: Sequence[int], p: int):
-    """The product modulo m over F_p (m with a nonzero leading term, so its
-    remainders are those modulo its monic associate) of residues as int
-    lists.  A product c has degree <= 2d - 2, d = deg m, so with
-    mu = floor(x^(2d-2) / m) its quotient is floor(floor(c / x^d) mu / x^(d-2)):
-    three big-int products, with mu and -m packed once.  mu reversed inverts
-    m reversed modulo x^(d-1), by Newton iteration g -> g (2 - m g) on packed
-    products (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1)."""
-    d, inv = len(m) - 1, pow(m[-1], -1, p)
-    if d < 2:
-        return lambda a, b: _kron(a, b, p)
-    neg, g = [-c * inv % p for c in m], [1]                 # -m, monic
-    lo = d * (p - 1) ** 2                  # a slot of c, and of the other sums if c is reduced
-    hi = max(lo * (d - 1) * (p - 1), 2 * lo)
-    early = hi >> 64 > 0
-    w = _width((lo + p if early else hi).bit_length())
-    rev = _pack(neg[::-1][:d - 1], w)
-    while len(g) < d - 1:
-        k = min(2 * len(g), d - 1)
-        x = _pack(g, w)
-        e = _unpack(x * rev, k, w, p)                       # -m g reversed, term 0 -1
-        e[0] = 1
-        g = _unpack(x * _pack(e, w), k, w, p)
-    mu, neg, low = _pack(g[::-1], w), _pack(neg[:d], w), (1 << d * w) - 1
-
-    def mulmod(a: Sequence[int], b: Sequence[int]) -> list[int]:
-        x, n = _pack(a, w), len(a) + len(b) - 1
-        c = x * (x if a is b else _pack(b, w))
-        if n <= d:                      # no reduction needed
-            return _unpack(c, max(n, 0), w, p)
-        if early:
-            c = _pack(_unpack(c, 2 * d - 1, w, p), w)
-        quot = _unpack((c >> d * w) * mu >> (d - 2) * w, d - 1, w, p)
-        return _unpack((c & low) + _pack(quot, w) * neg, d, w, p)
-    return mulmod
-
-
-# -- Univariate polynomials over a FieldSpec ----------------------------------
+# ---------------------------------------------------------------------------
+# Univariate polynomials over a FieldSpec
+# ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Dense univariate polynomial: coeffs ascending, the last one nonzero (the
-    zero polynomial has none and degree -1)."""
+    """Dense univariate polynomial; coeffs ascending, trailing coeff nonzero.
+
+    The zero polynomial has an empty coefficient tuple and degree -1.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -410,6 +320,8 @@ class Polynomial:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+
+    # -- constructors --------------------------------------------------------
 
     @classmethod
     def one(cls, field: FieldSpec) -> "Polynomial":
@@ -424,6 +336,8 @@ class Polynomial:
         return reduce(operator.mul, (cls(field, (field.neg(r), 1)) for r in roots),
                       cls.one(field))
 
+    # -- basic queries --------------------------------------------------------
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -437,6 +351,8 @@ class Polynomial:
         if self.is_zero:
             raise Precondition("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
         if self.field is not other.field and self.field != other.field:
@@ -458,7 +374,8 @@ class Polynomial:
         self._check(other)
         F = self.field
         if F.m == 1:
-            return Polynomial(F, _kron(self.coeffs, other.coeffs, F.p))
+            from . import fpx
+            return Polynomial(F, fpx.kron(self.coeffs, other.coeffs, F.p))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -477,15 +394,22 @@ class Polynomial:
         if other.is_zero:
             raise Precondition("polynomial division by zero")
         if F.m == 1:
-            quot, rem = _divmod_ints(self.coeffs, other.coeffs, F.p)
+            from . import fpx
+            quot, rem = fpx.divmod_ints(self.coeffs, other.coeffs, F.p)
             return Polynomial(F, quot), Polynomial(F, rem)
-        r, d, inv = list(self.coeffs), other.degree, F.inv(other.leading)
+        r = list(self.coeffs)
+        d = other.degree
+        inv_lead = F.inv(other.leading)
         quot = [0] * max(0, len(r) - d)
-        for shift in range(len(r) - 1 - d, -1, -1):
-            c = quot[shift] = F.mul(r[shift + d], inv)
-            r[shift:shift + d + 1] = [F.sub(a, F.mul(c, b))
-                                      for a, b in zip(r[shift:shift + d + 1], other.coeffs)]
-        return Polynomial(F, quot), Polynomial(F, r[:d])
+        while len(r) - 1 >= d and r:
+            c = F.mul(r[-1], inv_lead)
+            shift = len(r) - 1 - d
+            quot[shift] = c
+            for i, oc in enumerate(other.coeffs):
+                r[shift + i] = F.sub(r[shift + i], F.mul(c, oc))
+            while r and r[-1] == 0:
+                r.pop()
+        return Polynomial(F, quot), Polynomial(F, r)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -532,31 +456,32 @@ def poly_eval(f: Polynomial, a: int) -> int:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by Euclid; over F_p on int lists (_gcd_ints), where a run of
-    steps one degree down is packed and reduced lazily."""
+    """Monic gcd by Euclid; over F_p on int lists (fpx.gcd_ints), where a run
+    of steps one degree down is packed and reduced mod p lazily."""
     F = a.field
     if F.m > 1 or b.field is not F:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic()
-    return Polynomial(F, _gcd_ints(list(a.coeffs), list(b.coeffs), F.p)).monic()
+    from . import fpx
+    return Polynomial(F, fpx.gcd_ints(list(a.coeffs), list(b.coeffs), F.p)).monic()
 
 
-def poly_pow_mod(base: Polynomial, e: int, mod: Polynomial, mulmod=None) -> Polynomial:
+def poly_pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     """base^e modulo mod by square-and-multiply, 1 at e = 0; e < 0 is
     refused.  Over F_p every product is reduced by one Barrett context of mod
-    (_barrett), over F_{p^m}, m > 1, by division; a caller taking several
-    powers modulo one mod passes its own _mulmod(F, mod.coeffs)."""
+    (fpx.barrett), over F_{p^m}, m > 1, by division."""
     if e < 0:
         raise Precondition(f"negative exponent {int_text(e)}")
     F, b = base.field, (base % mod).coeffs
-    return F.poly(_power(mulmod or _mulmod(F, mod.coeffs), b, e) if e else (1,))
+    return F.poly(_power(_mulmod(F, mod.coeffs), b, e) if e else (1,))
 
 
 def _mulmod(F: FieldSpec, m: Sequence[int]):
     """The product over F of residues modulo m, as coefficient sequences."""
     if F.m == 1:
-        return _barrett(m, F.p)
+        from . import fpx
+        return fpx.barrett(m, F.p)
     mod = F.poly(m)
     return lambda a, b: (F.poly(a) * F.poly(b) % mod).coeffs
 
@@ -579,7 +504,7 @@ def distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
     h = x^(q^d) mod f is the q-th power of its predecessor, and gcd(h - x, f)
     the product of the factors of degree d.  h is a coefficient list, and its
     powers share one product modulo f (over F_p a Barrett context,
-    _barrett), built for the first one and again only after f shrinks."""
+    fpx.barrett), built for the first one and again only after f shrinks."""
     return list(_split(f))
 
 
@@ -587,22 +512,21 @@ def _split(f: Polynomial):
     """The entries of distinct_degree(f), one at a time.  The first also
     decides irreducibility of any monic f of degree m >= 2, squarefree or
     not: f is irreducible iff it has d = m (see _canonical_modulus)."""
-    F, d, mulmod = f.field, 0, None
-    h = Polynomial.x(F)
+    F, d, h, mulmod = f.field, 0, (0, 1), None
     while f.degree > 0:
         d += 1
         if 2 * d > f.degree:
             yield f.degree, f
             return
         mulmod = mulmod or _mulmod(F, f.coeffs)
-        h = poly_pow_mod(h, F.q, f, mulmod)
-        g = list(h.coeffs) + [0] * (2 - len(h.coeffs))
+        h = _power(mulmod, h, F.q)
+        g = list(h) + [0] * (2 - len(h))
         g[1] = F.sub(g[1], 1)
         g = poly_gcd(F.poly(g), f)
         if g.degree > 0:
             yield d, g
             f, mulmod = f // g, None
-            h = h % f
+            h = (F.poly(h) % f).coeffs
 
 
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from . import gf
+from . import fpx, gf
 from .errors import BudgetExceeded, InvariantError, Precondition, int_text
 from .records import Record
 
@@ -183,29 +183,22 @@ def _branch_poly(field: gf.FieldSpec, kind: str, factors: list) -> gf.Polynomial
     """The monic product of sampled factors, multiplied in a balanced tree:
     neighbours pair up level by level, so the operands of each product have
     about equal degree.  The split side starts from the paired roots'
-    quadratics (t - a)(t - b) = t^2 - (a + b) t + ab.  Over F_p every operand
-    stays packed in one int, and a product is one big-int product reduced
-    slot by slot (gf._reducer)."""
+    quadratics (t - a)(t - b) = t^2 - (a + b) t + ab.  Over F_p the levels
+    are Kronecker products of plain coefficient lists."""
     if kind == "linear":
         level = [(field.mul(a, b), field.neg(field.add(a, b)), 1)
                  for a, b in zip(factors[::2], factors[1::2])]
         level += [(field.neg(r), 1) for r in factors[len(factors) & ~1:]]
     else:
         level = [(c, b, 1) for b, c in factors]
-    n, p = sum(map(len, level)) - len(level) + 1, field.p       # coefficients of f
     if field.m == 1:
-        w = gf._width(2 * (n * (p - 1) ** 2).bit_length() + 2)
-        red, level = gf._reducer(p, w, n), [gf._pack(c, w) for c in level]
-
         def mul(a, b):
-            return red(a * b)
+            return fpx.kron(a, b, field.p)
     else:
         def mul(a, b):
             return (field.poly(a) * field.poly(b)).coeffs
     while len(level) > 1:
         level = [mul(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
-    if field.m == 1:
-        return field.poly(gf._unpack(level[0], n, w, p) if level else (1,))
     return field.poly(level[0] if level else (1,))
 
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from surfcodes import asymptotic as am
 from surfcodes import codes as cd
-from surfcodes import gf
+from surfcodes import fpx, gf
 from surfcodes import surfaces as sf
 from surfcodes.errors import BudgetExceeded, InvariantError, Precondition
 
@@ -775,7 +775,7 @@ def list_euclid_gcd(a: gf.Polynomial, b: gf.Polynomial) -> gf.Polynomial:
             c0 = (x[-2] - c1 * y[-2]) * inv % p
             x, y = y, [(s - c1 * t - c0 * u) % p for s, t, u in zip(x, [0] + y, y[:-1])]
         else:
-            x, y = y, gf._divmod_ints(x, y, p)[1]
+            x, y = y, fpx.divmod_ints(x, y, p)[1]
         while y and not y[-1]:
             y.pop()
     return gf.Polynomial(F, x).monic()
@@ -796,12 +796,12 @@ def barrett_pow_mod(base: gf.Polynomial, e: int, mod: gf.Polynomial) -> gf.Polyn
         inv.append(-sum(a * b for a, b in zip(rev[1:j + 1], reversed(inv))) % p)
 
     def mulmod(a: list[int], b: list[int]) -> list[int]:
-        c = gf._kron(a, b, p)
+        c = fpx.kron(a, b, p)
         k = len(c) - d
         if k <= 0:
             return c
-        quot = gf._kron(c[:d - 1:-1], inv[:k], p)[k - 1::-1]
-        return [(x - y) % p for x, y in zip(c[:d], gf._kron(quot, low, p))]
+        quot = fpx.kron(c[:d - 1:-1], inv[:k], p)[k - 1::-1]
+        return [(x - y) % p for x, y in zip(c[:d], fpx.kron(quot, low, p))]
 
     result, b = [1], list((base % mod).coeffs)
     while e:

@@ -433,10 +433,10 @@ def test_packed_kernel_matches_list_oracles(p):
 def test_one_barrett_context_per_side(monkeypatch):
     """A certificate builds exactly one Barrett context for each of its two
     sides: the split's powers share it, and nothing else builds one."""
-    from surfcodes import towers
+    from surfcodes import fpx, towers
     gf.field_from_order(67)
     calls = []
-    real = gf._barrett
-    monkeypatch.setattr(gf, "_barrett", lambda m, p: calls.append(len(m) - 1) or real(m, p))
+    real = fpx.barrett
+    monkeypatch.setattr(fpx, "barrett", lambda m, p: calls.append(len(m) - 1) or real(m, p))
     towers.hyperelliptic_product_certificate(67, 30, 30, 1, 5)
     assert calls == [62, 62]

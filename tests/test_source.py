@@ -144,8 +144,8 @@ _TOWER = ("--q", "67", "--g1", "30", "--g2", "30", "--rho", "1")
     (("asym", "polygon", "--q", "2", "--g", "2"), ["asymptotic"]),
     (("asym", "diagram", "--q", "2", "--g", "2", "--grid", "3", "--out", "d.csv"),
      ["asymptotic"]),
-    (("tower", "check", *_TOWER), ["gf", "towers"]),
-    (("tower", "search", *_TOWER), ["gf", "towers"]),
+    (("tower", "check", *_TOWER), ["fpx", "gf", "towers"]),
+    (("tower", "search", *_TOWER), ["fpx", "gf", "towers"]),
     (("code", "build", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1"),
      ["codes", "gf", "surfaces"]),
     (("bounds", "--surface", "p1xp1", "--q", "3", "--divisor", "1,1"),
@@ -158,7 +158,8 @@ _TOWER = ("--q", "67", "--g1", "30", "--g2", "30", "--rho", "1")
 def test_verb_loads_only_its_modules(tmp_path, argv, loaded):
     # each verb imports the library modules it runs when it runs: the asym
     # verbs no field arithmetic, codes or towers; the tower verbs no codes or
-    # bounds; code build no towers, asymptotic or numpy.  No verb loads
+    # bounds; code build no towers, asymptotic or numpy, and over a prime
+    # field no prime-field polynomial kernel (fpx).  No verb loads
     # dataclasses, and one that leaves numpy unloaded loads no inspect
     # either (numpy imports inspect itself)
     quadric = surfcodes.surfaces.quadric_p1xp1()
@@ -228,6 +229,7 @@ def test_unreferenced_definitions_are_paper_formulas():
         "bounds.hansen_curve_bound", "bounds.hansen_curve_bound_uniform",
         "bounds.product_grid_bound", "bounds.seshadri_upper",
         "codes.rational_locus_check",
+        "gf.poly_pow_mod",
         "surfaces.noether_identity",
         "towers.gs_check_chi_form", "towers.hyperelliptic_point_count",
         "towers.marked_invariants", "towers.naive_point_count", "towers.r_t_bracket",
